@@ -4,8 +4,8 @@ The pool is the process-isolation boundary of the error-management loop:
 LLM-generated code runs in expendable child interpreters, so a hanging,
 memory-hogging, segfaulting, or ``os._exit``-ing pipeline is *reaped and
 classified* instead of taking down the orchestrator (the in-process
-mode's residual risk, and the reason thread-mode timeouts had to abandon
-workers).
+mode's residual risk).  It is also where every bounded run requested off
+the main thread executes, since SIGALRM cannot bound such a thread.
 
 Life cycle:
 

@@ -123,7 +123,6 @@ class _GeneratorBase:
         sample_rows: int = _SAMPLE_ROWS,
         library_policy: "LibraryPolicy | None" = None,
         exec_timeout_seconds: float | None = None,
-        exec_timeout_mode: str = "auto",
         exec_mode: str | None = None,
         exec_memory_mb: int | None = None,
         static_gate: bool = True,
@@ -138,7 +137,6 @@ class _GeneratorBase:
         self.sample_rows = sample_rows
         self.library_policy = library_policy
         self.exec_timeout_seconds = exec_timeout_seconds
-        self.exec_timeout_mode = exec_timeout_mode
         # "inproc" | "pool" | None ($REPRO_EXEC_MODE): pool mode runs
         # every candidate in an isolated subprocess worker, so hostile
         # generated code cannot take the repair loop down with it
@@ -188,7 +186,6 @@ class _GeneratorBase:
         return execute_pipeline_code(
             code, train, test,
             timeout_seconds=self.exec_timeout_seconds,
-            timeout_mode=self.exec_timeout_mode,
             mode=self.exec_mode,
             memory_mb=self.exec_memory_mb,
         )

@@ -3,29 +3,18 @@
 :class:`Deadline` is a small value object around a monotonic clock; the
 transport layer uses it to discard responses that arrive too late.
 
-:func:`run_with_timeout` enforces a hard wall-clock budget on a callable —
-the mechanism behind ``--exec-timeout`` for generated-pipeline execution:
-
-- ``"signal"`` mode (POSIX main thread only) arms ``setitimer``; the
-  SIGALRM handler raises :class:`ExecutionTimeout` inside the running
-  frame, which also interrupts blocking sleeps.
-- ``"thread"`` mode runs the callable in a daemon worker and, on expiry,
-  injects :class:`ExecutionTimeout` into it via
-  ``PyThreadState_SetAsyncExc``.  That kills pure-Python loops (the
-  generated pipelines' failure mode) between bytecodes; a worker stuck in
-  a C call cannot be interrupted, so after a short grace period the worker
-  is abandoned (daemon threads die with the process) and the timeout is
-  reported anyway — the caller never hangs.  The worker runs behind an
-  :class:`~repro.obs.fence.ObsFence`: it inherits the caller's
-  tracer/metrics (emission parity with signal mode) and, once abandoned,
-  is sealed off so the zombie thread cannot emit spans or metrics into
-  whatever run is active later.
-- ``"auto"`` picks ``"signal"`` when available, else ``"thread"``.
+:func:`run_with_timeout` enforces a hard wall-clock budget on a callable
+with one mechanism: it arms ``setitimer`` and the SIGALRM handler raises
+:class:`ExecutionTimeout` inside the running frame, which also interrupts
+blocking sleeps.  SIGALRM is delivered only to the main thread, so a
+positive budget off the main thread is refused with :class:`RuntimeError`.
+Bounded pipeline execution off the main thread goes to the execution pool
+instead (:func:`repro.generation.executor.execute_pipeline_code` routes
+it), whose workers run the same SIGALRM path on their own main thread.
 """
 
 from __future__ import annotations
 
-import ctypes
 import signal
 import threading
 import time
@@ -98,7 +87,23 @@ def signal_timeout_available() -> bool:
     )
 
 
-def _run_with_signal(fn: Callable[[], T], seconds: float) -> T:
+def run_with_timeout(fn: Callable[[], T], seconds: float | None) -> T:
+    """Run ``fn`` with a hard wall-clock budget of ``seconds``.
+
+    ``seconds=None`` (or ``<= 0``) runs ``fn`` directly, on any thread.
+    A positive budget needs SIGALRM on the main thread and raises
+    :class:`RuntimeError` anywhere else.  Raises :class:`ExecutionTimeout`
+    when the budget is exceeded; any exception ``fn`` itself raises
+    propagates unchanged.
+    """
+    if seconds is None or seconds <= 0:
+        return fn()
+    if not signal_timeout_available():
+        raise RuntimeError(
+            "run_with_timeout needs SIGALRM on the main thread; "
+            "bound off-main-thread work in the execution pool"
+        )
+
     def _on_alarm(signum: int, frame: Any) -> None:
         raise ExecutionTimeout(
             f"execution exceeded its {seconds:g}s wall-clock budget"
@@ -111,83 +116,3 @@ def _run_with_signal(fn: Callable[[], T], seconds: float) -> T:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def _async_raise(thread_id: int, exc_type: type[BaseException]) -> None:
-    ctypes.pythonapi.PyThreadState_SetAsyncExc(
-        ctypes.c_ulong(thread_id), ctypes.py_object(exc_type)
-    )
-
-
-def _run_with_thread(
-    fn: Callable[[], T], seconds: float, grace_seconds: float = 1.0
-) -> T:
-    from repro.obs.fence import ObsFence
-
-    outcome: dict[str, Any] = {}
-    started = threading.Event()
-    # the fence gives the worker the caller's tracer/metrics (parity with
-    # signal mode, where fn runs on the caller's own context) and, if the
-    # worker has to be abandoned, cuts it off so a zombie thread cannot
-    # emit into whatever run is active later
-    fence = ObsFence()
-    run = fence.wrap(fn)
-
-    def _target() -> None:
-        started.set()
-        try:
-            outcome["result"] = run()
-        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
-            outcome["error"] = exc
-
-    worker = threading.Thread(
-        target=_target, name="repro-exec-budget", daemon=True
-    )
-    worker.start()
-    # the worker sets this first thing; the timeout only guards against a
-    # pathologically starved scheduler and keeps the budget clock honest
-    started.wait(timeout=seconds)
-    worker.join(seconds)
-    if worker.is_alive():
-        # inject ExecutionTimeout between bytecodes; re-send for a short
-        # grace period in case the worker swallows BaseException briefly
-        grace_deadline = time.monotonic() + grace_seconds
-        while worker.is_alive() and time.monotonic() < grace_deadline:
-            _async_raise(worker.ident or 0, ExecutionTimeout)
-            worker.join(0.02)
-        abandoned = worker.is_alive()
-        if abandoned:
-            fence.seal()
-        raise ExecutionTimeout(
-            f"execution exceeded its {seconds:g}s wall-clock budget"
-            + (" (worker abandoned)" if abandoned else "")
-        )
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["result"]
-
-
-def run_with_timeout(
-    fn: Callable[[], T],
-    seconds: float | None,
-    mode: str = "auto",
-    grace_seconds: float = 1.0,
-) -> T:
-    """Run ``fn`` with a hard wall-clock budget of ``seconds``.
-
-    ``seconds=None`` (or ``<= 0``) runs ``fn`` directly.  Raises
-    :class:`ExecutionTimeout` when the budget is exceeded; any exception
-    ``fn`` itself raises propagates unchanged.
-    """
-    if seconds is None or seconds <= 0:
-        return fn()
-    if mode not in ("auto", "signal", "thread"):
-        raise ValueError(f"unknown timeout mode {mode!r}")
-    if mode == "auto":
-        mode = "signal" if signal_timeout_available() else "thread"
-    if mode == "signal":
-        if not signal_timeout_available():
-            mode = "thread"
-        else:
-            return _run_with_signal(fn, seconds)
-    return _run_with_thread(fn, seconds, grace_seconds=grace_seconds)

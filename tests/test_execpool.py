@@ -16,6 +16,7 @@ Covers the three contracts ``docs/execution_pool.md`` documents:
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -285,6 +286,45 @@ class TestWiring:
         )
         assert result.success
         assert result.metrics == inproc.metrics
+
+    def test_bounded_run_off_main_thread_routes_to_pool(self, tables):
+        # SIGALRM only reaches the main thread, so a bounded inproc request
+        # from any other thread runs in the pool; an unbounded one stays
+        # in-process and spawns nothing
+        from repro.execpool.pool import get_pool
+        from repro.obs.trace import Tracer, set_tracer
+
+        train, test = tables
+        hang, _ = ADVERSARIAL_PIPELINES["hang"]
+        registry = MetricsRegistry()
+        tracer = Tracer()
+
+        def caller():
+            set_metrics(registry)
+            set_tracer(tracer)
+            bounded = execute_pipeline_code(
+                hang, train, test, timeout_seconds=1.0, mode="inproc",
+            )
+            spawns = get_pool().stats["spawns"]
+            unbounded = execute_pipeline_code(
+                CLEAN_PIPELINE, train, test, mode="inproc",
+            )
+            return bounded, unbounded, get_pool().stats["spawns"] - spawns
+
+        with ThreadPoolExecutor(max_workers=1) as threads:
+            bounded, unbounded, new_spawns = (
+                threads.submit(caller).result(timeout=60.0)
+            )
+        assert not bounded.success
+        assert bounded.error.error_type.name == "no_convergence"
+        assert bounded.error.details["timed_out"] is True
+        assert bounded.error.details["timeout_seconds"] == 1.0
+        modes = [s.attributes["mode"] for s in tracer.spans
+                 if s.name == "execute.pipeline"]
+        assert modes == ["pool", "inproc"]
+        assert registry.counter_value("execute.timeouts") == 1
+        assert unbounded.success
+        assert new_spawns == 0
 
     def test_env_mode_routes_to_pool(self, monkeypatch, tables):
         train, test = tables

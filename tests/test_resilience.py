@@ -254,120 +254,41 @@ class TestRunWithTimeout:
         assert run_with_timeout(lambda: "x", None) == "x"
         assert run_with_timeout(lambda: "x", 0) == "x"
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_with_timeout(lambda: 1, 1.0, mode="fork")
-
     def test_within_budget_returns_result(self):
-        assert run_with_timeout(lambda: 7, 5.0, mode="thread") == 7
+        assert run_with_timeout(lambda: 7, 5.0) == 7
 
     def test_fn_exception_propagates(self):
         def boom():
             raise KeyError("inner")
 
         with pytest.raises(KeyError):
-            run_with_timeout(boom, 5.0, mode="thread")
-
-    def test_thread_mode_kills_busy_loop_within_grace(self):
-        def spin():
-            while True:
-                pass
-
-        start = time.monotonic()
-        with pytest.raises(ExecutionTimeout):
-            run_with_timeout(spin, 0.3, mode="thread", grace_seconds=1.0)
-        # the acceptance bound: budget + 1s grace (+ scheduling slack)
-        assert time.monotonic() - start < 0.3 + 1.0 + 0.5
-
-    def test_thread_mode_abandons_c_blocked_worker(self):
-        start = time.monotonic()
-        with pytest.raises(ExecutionTimeout) as info:
-            run_with_timeout(lambda: time.sleep(30), 0.2, mode="thread",
-                             grace_seconds=0.3)
-        assert time.monotonic() - start < 0.2 + 0.3 + 0.5
-        assert "abandoned" in str(info.value)
+            run_with_timeout(boom, 5.0)
 
     @pytest.mark.skipif(not signal_timeout_available(),
                         reason="needs SIGALRM on the main thread")
     def test_signal_mode_interrupts_sleep(self):
         start = time.monotonic()
         with pytest.raises(ExecutionTimeout):
-            run_with_timeout(lambda: time.sleep(30), 0.2, mode="signal")
+            run_with_timeout(lambda: time.sleep(30), 0.2)
         assert time.monotonic() - start < 1.0
 
     def test_timeout_is_runtime_error(self):
         # the taxonomy must classify budget exhaustion as an RE-group error
         assert issubclass(ExecutionTimeout, RuntimeError)
 
-    def test_thread_mode_worker_emits_into_caller_session(self):
-        # emission parity with signal mode: the worker thread inherits the
-        # caller's metrics registry and tracer through the ObsFence
-        from repro.obs.trace import Tracer, set_tracer
+    def test_off_main_thread_budget_refused(self):
+        # SIGALRM cannot reach a non-main thread: a positive budget is
+        # refused there, while an unbounded call still runs fn directly
+        from concurrent.futures import ThreadPoolExecutor
 
-        registry = MetricsRegistry()
-        tracer = Tracer()
-        prev_metrics = set_metrics(registry)
-        prev_tracer = set_tracer(tracer)
-        try:
-            def work():
-                from repro.obs.metrics import get_metrics
-                from repro.obs.trace import get_tracer
+        def probe():
+            with pytest.raises(RuntimeError, match="main thread"):
+                run_with_timeout(lambda: "never", 5.0)
+            return (run_with_timeout(lambda: "x", None),
+                    run_with_timeout(lambda: "y", 0))
 
-                with get_tracer().span("worker.step"):
-                    get_metrics().inc("worker.live")
-                return "done"
-
-            assert run_with_timeout(work, 5.0, mode="thread") == "done"
-        finally:
-            set_metrics(prev_metrics)
-            set_tracer(prev_tracer)
-        assert registry.counter_value("worker.live") == 1
-        assert [s.name for s in tracer.spans] == ["worker.step"]
-
-    def test_abandoned_worker_obs_emissions_are_fenced(self):
-        # regression: a worker that survives async-exception injection
-        # (stuck in a C call, swallowing BaseException) is abandoned after
-        # grace -- anything the zombie emits afterwards must NOT land in
-        # the session of whatever run is active by then
-        import threading
-
-        from repro.obs.trace import Tracer, set_tracer
-
-        registry = MetricsRegistry()
-        tracer = Tracer()
-        release = threading.Event()
-        emitted = threading.Event()
-
-        def zombie():
-            from repro.obs.metrics import get_metrics
-            from repro.obs.trace import get_tracer
-
-            # simulate "stuck in C": swallow every injected timeout
-            while not release.is_set():
-                try:
-                    time.sleep(0.01)
-                except ExecutionTimeout:
-                    pass
-            # the late emission, after the caller gave up on us
-            get_metrics().inc("zombie.late")
-            with get_tracer().span("zombie.late"):
-                pass
-            emitted.set()
-
-        prev_metrics = set_metrics(registry)
-        prev_tracer = set_tracer(tracer)
-        try:
-            with pytest.raises(ExecutionTimeout) as info:
-                run_with_timeout(zombie, 0.2, mode="thread",
-                                 grace_seconds=0.2)
-        finally:
-            set_metrics(prev_metrics)
-            set_tracer(prev_tracer)
-        assert "abandoned" in str(info.value)
-        release.set()
-        assert emitted.wait(5.0), "zombie never reached its late emission"
-        assert registry.counter_value("zombie.late") == 0
-        assert all(s.name != "zombie.late" for s in tracer.spans)
+        with ThreadPoolExecutor(max_workers=1) as threads:
+            assert threads.submit(probe).result(timeout=10.0) == ("x", "y")
 
 
 # ---------------------------------------------------------------------------
@@ -702,19 +623,6 @@ class TestExecutorTimeout:
         assert result.error.group.value == "RE"
         assert result.error.details.get("timed_out") is True
         assert result.error.details.get("timeout_seconds") == 0.5
-
-    def test_thread_mode_also_terminates(self):
-        code = ("def run_pipeline(train, test):\n"
-                "    n = 0\n"
-                "    while True:\n"
-                "        n += 1\n")
-        train, test = _toy_tables()
-        start = time.monotonic()
-        result = execute_pipeline_code(code, train, test, timeout_seconds=0.4,
-                                       timeout_mode="thread")
-        assert time.monotonic() - start < 0.4 + 1.0 + 0.5
-        assert not result.success
-        assert result.error.details.get("timed_out") is True
 
     def test_fast_pipeline_unaffected_by_budget(self):
         code = ("def run_pipeline(train, test):\n"

@@ -218,6 +218,40 @@ class TestRunGrid:
         assert r1.rows == r4.rows
         assert r1.render() == r4.render()
 
+    def test_bounded_inproc_grid_matches_unbounded_sequential(self):
+        # grid cells run on scheduler threads, where SIGALRM cannot bound
+        # them: bounded inproc cells execute in the pool and must still
+        # reproduce the unbounded in-process grid
+        from functools import partial
+
+        from repro.execpool.pool import get_pool, shutdown_pool
+        from repro.experiments.common import prepare_dataset, run_catdb
+
+        def cell(llm, exec_timeout, prepared):
+            report = run_catdb(prepared, llm_name=llm, exec_mode="inproc",
+                               exec_timeout=exec_timeout)
+            return (report.success, report.code, report.primary_metric)
+
+        def grid(workers, exec_timeout):
+            graph = JobGraph()
+            graph.add("prepare", partial(prepare_dataset, "wifi", n=150))
+            for llm in ("gpt-4o", "gemini-1.5"):
+                graph.add(f"cell:{llm}", partial(cell, llm, exec_timeout),
+                          deps=("prepare",), config={"llm": llm})
+            return grid_rows(graph, run_grid(graph, workers=workers))
+
+        try:
+            sequential = grid(workers=1, exec_timeout=None)
+            jobs = get_pool().stats["jobs"]
+            bounded = grid(workers=2, exec_timeout=30)
+            pooled_jobs = get_pool().stats["jobs"] - jobs
+        finally:
+            shutdown_pool()
+        assert len(sequential) == 2
+        assert all(success for success, _, _ in sequential)
+        assert bounded == sequential
+        assert pooled_jobs > 0
+
 
 class TestResume:
     def _counting_grid(self, executed: list[str], n: int = 6,
