@@ -100,7 +100,7 @@ def test_ablation_repair_budget(benchmark):
 def test_ablation_zero_shot_vs_few_shot(benchmark):
     """Zero-shot ICL vs few-shot examples (Section 1 design decision)."""
     from repro.generation.executor import execute_pipeline_code
-    from repro.generation.validator import extract_code_block
+    from repro.llm.base import extract_code_block
     from repro.prompt.builder import build_prompt_plan
 
     prepared = prepare_dataset("cmc", quick=QUICK)

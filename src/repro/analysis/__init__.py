@@ -4,15 +4,16 @@ The package implements the pre-execution validation pass of the repair
 loop (paper Section 4.2: syntactic errors are cheap to find, runtime
 errors are expensive) as a multi-pass AST analyzer:
 
-- :mod:`repro.analysis.scopes` — a proper scope-chain name resolver
-  (module/function/class/comprehension/lambda scopes, ``global``/
-  ``nonlocal``, walrus, ``AnnAssign``, ``match`` captures) replacing the
-  old flat ``ast.walk`` name collection;
 - :mod:`repro.analysis.cfg` — statement-level control-flow graphs
   (branches, loops, ``try``/``except``/``finally``, ``with``,
   ``match``, ``break``/``continue``/``return`` edges);
-- :mod:`repro.analysis.dataflow` — flow-sensitive analyses over the
-  CFG: reaching definitions and def-use chains, definite assignment
+- :mod:`repro.analysis.dataflow` — the single name-resolution pass: one
+  walk builds the scope table (module/function/lambda/class/
+  comprehension scopes, ``global``/``nonlocal``, walrus, ``AnnAssign``,
+  ``match`` captures) together with the CFG of every module and
+  function body; :func:`undefined_uses` answers "is this name bound
+  anywhere visible", and the flow-sensitive analyses run over the same
+  table: reaching definitions and def-use chains, definite assignment
   (path-sensitive use-before-def), and the train/test/whole-dataset
   provenance-taint lattice behind the alias-aware leakage rule;
 - :mod:`repro.analysis.rules` — the pluggable rule engine
@@ -41,14 +42,18 @@ loop consumes them exactly like execution failures — without paying
 ``execute_pipeline_code``.
 """
 
-from repro.analysis.cfg import CFG, CFGNode, build_cfg, scope_cfgs
+from repro.analysis.cfg import CFG, CFGNode, build_cfg
 from repro.analysis.dataflow import (
     FitCall,
     ModuleDataflow,
+    Scope,
     ScopeFlow,
+    ScopeTable,
     Taint,
     UseBeforeDef,
     analyze_dataflow,
+    scope_table,
+    undefined_uses,
 )
 from repro.analysis.engine import (
     PROFILES,
@@ -68,7 +73,6 @@ from repro.analysis.fixes import (
     fix_findings,
 )
 from repro.analysis.rules import Finding, Rule, RuleConfig, Severity
-from repro.analysis.scopes import Scope, ScopeInfo, build_scopes
 
 __all__ = [
     "AnalysisReport",
@@ -86,7 +90,7 @@ __all__ = [
     "RuleConfig",
     "Scope",
     "ScopeFlow",
-    "ScopeInfo",
+    "ScopeTable",
     "Severity",
     "Taint",
     "UseBeforeDef",
@@ -95,10 +99,10 @@ __all__ = [
     "analyze_source",
     "autofix",
     "build_cfg",
-    "build_scopes",
     "fix_error",
     "fix_findings",
     "lint_paths",
     "render_findings",
-    "scope_cfgs",
+    "scope_table",
+    "undefined_uses",
 ]

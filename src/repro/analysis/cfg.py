@@ -6,8 +6,8 @@ and branch tests, ``except`` handler entries, ``with`` item binders, and
 ``match`` case binders.  Compound statements (``if``/``while``/``for``/
 ``try``/``with``/``match``) are decomposed into their parts; nested
 function and class definitions are treated as atomic statements in the
-enclosing graph (their bodies get graphs of their own via
-:func:`scope_cfgs`).
+enclosing graph (their bodies get graphs of their own, built by the
+scope walk in :mod:`repro.analysis.dataflow`).
 
 Edge semantics:
 
@@ -40,7 +40,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-__all__ = ["CFG", "CFGNode", "build_cfg", "scope_cfgs"]
+__all__ = ["CFG", "CFGNode", "build_cfg"]
 
 
 @dataclass
@@ -337,22 +337,3 @@ def build_cfg(body: list[ast.stmt], name: str = "<module>") -> CFG:
     """Build a CFG over one scope body (nested defs stay atomic)."""
     return _Builder(name).build(body)
 
-
-def scope_cfgs(
-    tree: ast.Module,
-) -> list[tuple[ast.AST | None, CFG]]:
-    """One CFG per analyzable scope: the module plus every function.
-
-    Returns ``(scope_node, cfg)`` pairs where ``scope_node`` is ``None``
-    for the module scope and the ``ast.FunctionDef`` /
-    ``ast.AsyncFunctionDef`` otherwise.  Class bodies and lambdas are not
-    graphed (class bodies are mostly declarative; lambda bodies are single
-    expressions).
-    """
-    out: list[tuple[ast.AST | None, CFG]] = [
-        (None, build_cfg(tree.body, "<module>"))
-    ]
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out.append((node, build_cfg(node.body, node.name)))
-    return out

@@ -1,7 +1,20 @@
-"""Flow-sensitive dataflow over the statement CFG.
+"""Name resolution and flow-sensitive dataflow over the statement CFG.
 
-Three classic analyses run per scope (module body and each function
-body), all as worklist fixpoints over :mod:`repro.analysis.cfg` graphs:
+One walk of the module (:func:`scope_table`) builds the whole scope
+table — module, function, lambda, class and comprehension scopes, each
+with its parent link, flow-insensitive bindings, ``global``/``nonlocal``
+declarations and ``Load`` uses — together with the CFG of every module
+and function body and the per-node binding/use facts the fixpoints
+read.  Resolution follows Python's rules: class-body names are invisible
+to code nested in the class, ``global`` jumps to module scope and
+``nonlocal`` to the nearest enclosing function, a walrus inside a
+comprehension binds in the enclosing non-comprehension scope, and
+decorators, defaults and annotations evaluate in the enclosing scope.
+:func:`undefined_uses` answers "is this name bound anywhere visible"
+for the missing-import rule and its fixer.
+
+Three classic analyses then run per graphed scope, all as worklist
+fixpoints over :mod:`repro.analysis.cfg` graphs:
 
 - **Reaching definitions** (may, forward): which assignments of a name
   can reach each program point.  Def-use chains fall out directly.
@@ -39,6 +52,7 @@ the old heuristic caught is still caught.
 from __future__ import annotations
 
 import ast
+import builtins
 import enum
 from dataclasses import dataclass, field
 
@@ -48,9 +62,13 @@ __all__ = [
     "Taint",
     "FitCall",
     "UseBeforeDef",
+    "Scope",
+    "ScopeTable",
     "ScopeFlow",
     "ModuleDataflow",
     "analyze_dataflow",
+    "scope_table",
+    "undefined_uses",
     "is_trainish",
     "is_testish",
 ]
@@ -142,6 +160,7 @@ class ScopeFlow:
 class ModuleDataflow:
     """Whole-module results, aggregated across scopes."""
 
+    table: ScopeTable
     scopes: list[ScopeFlow] = field(default_factory=list)
     fit_calls: list[FitCall] = field(default_factory=list)
     use_before_def: list[UseBeforeDef] = field(default_factory=list)
@@ -150,218 +169,398 @@ class ModuleDataflow:
 
 
 # ---------------------------------------------------------------------------
-# per-node facts: bound names, deleted names, uses
+# the scope table: one walk over every scope
 # ---------------------------------------------------------------------------
 
+MODULE = "module"
+FUNCTION = "function"
+LAMBDA = "lambda"
+CLASS = "class"
+COMPREHENSION = "comprehension"
 
-def _target_names(target: ast.AST | None) -> list[str]:
-    if target is None:
-        return []
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        out: list[str] = []
-        for elt in target.elts:
-            out.extend(_target_names(elt))
-        return out
-    if isinstance(target, ast.Starred):
-        return _target_names(target.value)
-    return []  # Subscript / Attribute stores bind nothing new
+_BUILTIN_NAMES = frozenset(dir(builtins)) | {
+    "__file__", "__doc__", "__name__", "__builtins__",
+}
 
 
-def _pattern_names(pattern: ast.pattern) -> list[str]:
-    out: list[str] = []
-    for node in ast.walk(pattern):
-        if isinstance(node, ast.MatchAs) and node.name:
-            out.append(node.name)
-        elif isinstance(node, ast.MatchStar) and node.name:
-            out.append(node.name)
-        elif isinstance(node, ast.MatchMapping) and node.rest:
-            out.append(node.rest)
-    return out
+@dataclass
+class _NodeFacts:
+    """What one CFG node binds, deletes and reads in its own scope."""
+
+    gens: list[str] = field(default_factory=list)
+    dels: list[str] = field(default_factory=list)
+    uses: list[ast.Name] = field(default_factory=list)
+    walrus: set[str] = field(default_factory=set)
 
 
-class _NameUses(ast.NodeVisitor):
-    """Collect Name loads belonging to the *current* scope.
+@dataclass(eq=False)
+class Scope:
+    """One lexical scope: module, function, lambda, class or comprehension.
 
-    Nested function/class/lambda bodies are separate scopes and skipped;
-    their decorators, defaults and annotations still evaluate here.
-    Comprehensions evaluate their first iterable in the current scope —
-    the rest runs in the comprehension scope and is skipped.  Walrus
-    targets bind in the current scope and are reported separately.
+    ``bindings`` is flow-insensitive: every name bound anywhere in the
+    scope, a bare ``x: int`` included.  A name a nested function declares
+    ``global`` (``nonlocal``) and then binds is recorded here in the
+    module (enclosing function) scope, where Python binds it.  Module and
+    function scopes also carry their CFG and per-node facts, which the
+    fixpoints read.
     """
 
-    def __init__(self) -> None:
-        self.uses: list[ast.Name] = []
-        self.walrus: list[str] = []
+    kind: str
+    name: str
+    parent: Scope | None = None
+    node: ast.AST | None = None
+    bindings: set[str] = field(default_factory=set)
+    declared: dict[str, str] = field(default_factory=dict)  # "global"/"nonlocal"
+    cfg: CFG | None = None
+    facts: dict[int, _NodeFacts] = field(default_factory=dict)
+
+
+def _nonlocal_owner(scope: Scope, name: str) -> Scope | None:
+    """The nearest enclosing function scope that binds ``name``."""
+    current = scope.parent
+    while current is not None:
+        if current.kind in (FUNCTION, LAMBDA) and name in current.bindings:
+            return current
+        current = current.parent
+    return None
+
+
+@dataclass
+class ScopeTable:
+    """Every scope of a module (walk order, module first) and every read."""
+
+    scopes: list[Scope]
+    uses: list[tuple[ast.Name, Scope]]
+
+    @property
+    def module(self) -> Scope:
+        return self.scopes[0]
+
+    def resolves(self, name: str, scope: Scope) -> bool:
+        """True when ``name`` read in ``scope`` is bound somewhere visible."""
+        if name in _BUILTIN_NAMES:
+            return True
+        current: Scope | None = scope
+        immediate = True
+        while current is not None:
+            # a class body's names are visible only to code directly in
+            # the body, never to functions/comprehensions nested inside it
+            if current.kind != CLASS or immediate:
+                declared = current.declared.get(name)
+                if declared == "global":
+                    return name in self.module.bindings
+                if declared == "nonlocal":
+                    return _nonlocal_owner(current, name) is not None
+                if name in current.bindings:
+                    return True
+            immediate = False
+            current = current.parent
+        return False
+
+
+def undefined_uses(table: ScopeTable) -> list[tuple[str, int]]:
+    """Every ``(name, lineno)`` read that resolves to no visible binding.
+
+    Flow-insensitive by design: a name bound anywhere in a visible scope
+    counts as defined (use-before-assignment is the fixpoints' job, and
+    an arbitrary unknown name stays a runtime error).
+    """
+    return [
+        (use.id, use.lineno)
+        for use, scope in table.uses
+        if not table.resolves(use.id, scope)
+    ]
+
+
+def _anchor(node: CFGNode) -> ast.AST | None:
+    """The AST part a CFG node evaluates (its key in the walk)."""
+    if node.kind == "stmt":
+        return node.stmt
+    if node.kind == "except":
+        return node.handler
+    if node.kind == "case":
+        return node.binds
+    return node.expr  # test / withitem (None on entry/exit)
+
+
+class _Frame:
+    """The walk's position in one scope: which CFG node is being read."""
+
+    __slots__ = ("scope", "anchors", "facts")
+
+    def __init__(self, scope: Scope) -> None:
+        self.scope = scope
+        self.anchors: dict[int, _NodeFacts] = {}
+        self.facts: _NodeFacts | None = None
+        for node in scope.cfg or ():
+            scope.facts[node.index] = facts = _NodeFacts()
+            part = _anchor(node)
+            if part is not None:
+                self.anchors[id(part)] = facts
+
+
+class _ScopeBuilder(ast.NodeVisitor):
+    """Grows the scope tree, the module/function CFGs and their facts.
+
+    Every binding and read is recorded once, in the scope Python puts
+    it in, and — inside a module or function body — on the CFG node
+    that evaluates it.  Statements the CFG leaves out (dead code after
+    a ``return``) still count for the flow-insensitive table.
+    """
+
+    def __init__(self, tree: ast.Module) -> None:
+        module = Scope(MODULE, "<module>", cfg=build_cfg(tree.body, "<module>"))
+        self.scopes = [module]
+        self.uses: list[tuple[ast.Name, Scope]] = []
+        self.frames = [_Frame(module)]
+
+    # -- helpers -------------------------------------------------------
+    @property
+    def frame(self) -> _Frame:
+        return self.frames[-1]
+
+    def _at(self, part: ast.AST) -> None:
+        self.frame.facts = self.frame.anchors.get(id(part))
+
+    def _push(
+        self,
+        kind: str,
+        name: str,
+        node: ast.AST,
+        body: list[ast.stmt] | None = None,
+    ) -> None:
+        cfg = None if body is None else build_cfg(body, name)
+        scope = Scope(kind, name, parent=self.frame.scope, node=node, cfg=cfg)
+        self.scopes.append(scope)
+        self.frames.append(_Frame(scope))
+
+    def _pop(self) -> None:
+        self.frames.pop()
+
+    def _bind(self, name: str, frame: _Frame | None = None) -> None:
+        frame = frame or self.frame
+        scope = frame.scope
+        owner = scope
+        declared = scope.declared.get(name)
+        if declared == "global":
+            owner = self.scopes[0]
+        elif declared == "nonlocal":
+            owner = _nonlocal_owner(scope, name) or scope
+        owner.bindings.add(name)
+        if frame.facts is not None:
+            frame.facts.gens.append(name)
+
+    def _use(self, node: ast.Name) -> None:
+        self.uses.append((node, self.frame.scope))
+        if self.frame.facts is not None:
+            self.frame.facts.uses.append(node)
+
+    def _visit_all(self, nodes: list) -> None:
+        for node in nodes:
+            self.visit(node)
+
+    def visit(self, node: ast.AST) -> None:
+        if isinstance(node, ast.stmt):
+            self._at(node)
+        super().visit(node)
+
+    # -- scope-introducing nodes ---------------------------------------
+    def _visit_defaults(self, args: ast.arguments) -> None:
+        self._visit_all(args.defaults)
+        self._visit_all([d for d in args.kw_defaults if d is not None])
+
+    def _visit_function(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> None:
+        self._bind(node.name)
+        # decorators, defaults and annotations evaluate in the enclosing scope
+        self._visit_all(node.decorator_list)
+        self._visit_defaults(node.args)
+        for arg in _arguments(node.args):
+            if arg.annotation is not None:
+                self.visit(arg.annotation)
+        if node.returns is not None:
+            self.visit(node.returns)
+        self._push(FUNCTION, node.name, node, node.body)
+        self.frame.scope.bindings.update(_param_names(node))
+        self._visit_all(node.body)
+        self._pop()
+
+    visit_FunctionDef = _visit_function
+    visit_AsyncFunctionDef = _visit_function
+
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        self._visit_defaults(node.args)
+        self._push(LAMBDA, "<lambda>", node)
+        self.frame.scope.bindings.update(a.arg for a in _arguments(node.args))
+        self.visit(node.body)
+        self._pop()
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._bind(node.name)
+        self._visit_all(node.decorator_list)
+        self._visit_all(node.bases)
+        self._visit_all([kw.value for kw in node.keywords])
+        self._push(CLASS, node.name, node)
+        self._visit_all(node.body)
+        self._pop()
+
+    def _visit_comprehension(
+        self, node: ast.ListComp | ast.SetComp | ast.GeneratorExp | ast.DictComp
+    ) -> None:
+        # the first generator's iterable evaluates in the enclosing scope
+        self.visit(node.generators[0].iter)
+        self._push(COMPREHENSION, "<comp>", node)
+        for i, gen in enumerate(node.generators):
+            if i:
+                self.visit(gen.iter)
+            self.visit(gen.target)
+            self._visit_all(gen.ifs)
+        if isinstance(node, ast.DictComp):
+            self.visit(node.key)
+            self.visit(node.value)
+        else:
+            self.visit(node.elt)
+        self._pop()
+
+    visit_ListComp = _visit_comprehension
+    visit_SetComp = _visit_comprehension
+    visit_GeneratorExp = _visit_comprehension
+    visit_DictComp = _visit_comprehension
+
+    # -- statements split across CFG nodes -----------------------------
+    def _visit_branch(self, node: ast.If | ast.While) -> None:
+        self._at(node.test)
+        self.visit(node.test)
+        self._visit_all(node.body)
+        self._visit_all(node.orelse)
+
+    visit_If = _visit_branch
+    visit_While = _visit_branch
+
+    def _visit_for(self, node: ast.For | ast.AsyncFor) -> None:
+        self._at(node.iter)
+        self.visit(node.iter)
+        self.visit(node.target)
+        self._visit_all(node.body)
+        self._visit_all(node.orelse)
+
+    visit_For = _visit_for
+    visit_AsyncFor = _visit_for
+
+    def _visit_with(self, node: ast.With | ast.AsyncWith) -> None:
+        for item in node.items:
+            self._at(item.context_expr)
+            self.visit(item.context_expr)
+            if item.optional_vars is not None:
+                self.visit(item.optional_vars)
+        self._visit_all(node.body)
+
+    visit_With = _visit_with
+    visit_AsyncWith = _visit_with
+
+    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
+        self._at(node)
+        if node.type is not None:
+            self.visit(node.type)
+        if node.name:
+            self._bind(node.name)
+        self._visit_all(node.body)
+
+    def visit_Match(self, node: ast.Match) -> None:
+        self._at(node.subject)
+        self.visit(node.subject)
+        for case in node.cases:
+            self._at(case.pattern)
+            self.visit(case.pattern)
+            if case.guard is not None:
+                self.visit(case.guard)
+            self._visit_all(case.body)
+
+    # -- binding statements and expressions ----------------------------
+    # targets go through visit_Name (Store binds, Del unbinds);
+    # ``obj[k] = x`` binds nothing but reads ``obj`` and ``k``
+    def visit_Assign(self, node: ast.Assign) -> None:
+        self.visit(node.value)
+        self._visit_all(node.targets)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        # x += 1 reads x, then rebinds it
+        self.visit(node.value)
+        if isinstance(node.target, ast.Name):
+            self._use(node.target)
+        self.visit(node.target)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self.visit(node.annotation)
+        if node.value is not None:
+            self.visit(node.value)
+        if node.value is None and isinstance(node.target, ast.Name):
+            # a bare declaration binds for scoping but assigns nothing
+            self.frame.scope.bindings.add(node.target.id)
+        else:
+            self.visit(node.target)
+
+    def visit_NamedExpr(self, node: ast.NamedExpr) -> None:
+        self.visit(node.value)
+        # PEP 572: the target binds in the scope containing the
+        # comprehension chain
+        frame = next(
+            f for f in reversed(self.frames) if f.scope.kind != COMPREHENSION
+        )
+        self._bind(node.target.id, frame)
+        if frame.facts is not None:
+            frame.facts.walrus.add(node.target.id)
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            self._bind((alias.asname or alias.name).split(".")[0])
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        for alias in node.names:
+            if alias.name != "*":
+                self._bind(alias.asname or alias.name)
+
+    def visit_Global(self, node: ast.Global) -> None:
+        for name in node.names:
+            self.frame.scope.declared[name] = "global"
+
+    def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
+        for name in node.names:
+            self.frame.scope.declared[name] = "nonlocal"
+
+    def visit_MatchAs(self, node: ast.MatchAs) -> None:
+        if node.pattern is not None:
+            self.visit(node.pattern)
+        if node.name is not None:
+            self._bind(node.name)
+
+    def visit_MatchStar(self, node: ast.MatchStar) -> None:
+        if node.name is not None:
+            self._bind(node.name)
+
+    def visit_MatchMapping(self, node: ast.MatchMapping) -> None:
+        self._visit_all(node.keys)
+        self._visit_all(node.patterns)
+        if node.rest is not None:
+            self._bind(node.rest)
 
     def visit_Name(self, node: ast.Name) -> None:
         if isinstance(node.ctx, ast.Load):
-            self.uses.append(node)
-
-    def visit_NamedExpr(self, node: ast.NamedExpr) -> None:
-        self.walrus.append(node.target.id)
-        self.visit(node.value)
-
-    def _visit_arg_exprs(self, args: ast.arguments) -> None:
-        for default in list(args.defaults) + [
-            d for d in args.kw_defaults if d is not None
-        ]:
-            self.visit(default)
-        for arg in (
-            list(args.posonlyargs)
-            + list(args.args)
-            + list(args.kwonlyargs)
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        ):
-            if arg.annotation is not None:
-                self.visit(arg.annotation)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        for dec in node.decorator_list:
-            self.visit(dec)
-        self._visit_arg_exprs(node.args)
-        if node.returns is not None:
-            self.visit(node.returns)
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._visit_arg_exprs(node.args)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        for dec in node.decorator_list:
-            self.visit(dec)
-        for base in node.bases:
-            self.visit(base)
-        for kw in node.keywords:
-            self.visit(kw.value)
-
-    def _visit_comp(self, node: ast.AST) -> None:
-        generators = getattr(node, "generators", [])
-        if generators:
-            self.visit(generators[0].iter)
-
-    visit_ListComp = _visit_comp
-    visit_SetComp = _visit_comp
-    visit_DictComp = _visit_comp
-    visit_GeneratorExp = _visit_comp
-
-
-def _collect_uses(node: CFGNode) -> tuple[list[ast.Name], list[str]]:
-    visitor = _NameUses()
-    payloads: list[ast.AST] = []
-    if node.kind == "stmt" and node.stmt is not None:
-        if isinstance(node.stmt, ast.Assign):
-            visitor.visit(node.stmt.value)
-            for target in node.stmt.targets:
-                # subscript/attribute stores evaluate their base
-                if not isinstance(target, (ast.Name, ast.Tuple, ast.List)):
-                    visitor.visit(target)
-        elif isinstance(node.stmt, ast.AugAssign):
-            visitor.visit(node.stmt.value)
-            if isinstance(node.stmt.target, ast.Name):
-                visitor.uses.append(
-                    ast.copy_location(
-                        ast.Name(id=node.stmt.target.id, ctx=ast.Load()),
-                        node.stmt.target,
-                    )
-                )
-            else:
-                visitor.visit(node.stmt.target)
-        elif isinstance(node.stmt, ast.AnnAssign):
-            if node.stmt.value is not None:
-                visitor.visit(node.stmt.value)
-            visitor.visit(node.stmt.annotation)
+            self._use(node)
+        elif isinstance(node.ctx, ast.Del):
+            self.frame.scope.bindings.add(node.id)
+            if self.frame.facts is not None:
+                self.frame.facts.dels.append(node.id)
         else:
-            visitor.visit(node.stmt)
-        payloads = []
-    else:
-        if node.expr is not None:
-            payloads.append(node.expr)
-    for payload in payloads:
-        visitor.visit(payload)
-    return visitor.uses, visitor.walrus
+            self._bind(node.id)
 
 
-def _node_binds(
-    node: CFGNode, walrus: list[str] | None = None
-) -> tuple[list[str], list[str]]:
-    """(bound names, deleted names) for one CFG node.
-
-    ``walrus`` takes the already-collected ``:=`` bindings when the
-    caller ran :func:`_collect_uses` itself (so the facts pass visits
-    each node's expressions once, not twice).
-    """
-    gens: list[str] = []
-    dels: list[str] = []
-    if node.kind == "stmt" and node.stmt is not None:
-        stmt = node.stmt
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                gens.extend(_target_names(target))
-        elif isinstance(stmt, ast.AugAssign):
-            gens.extend(_target_names(stmt.target))
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                gens.extend(_target_names(stmt.target))
-        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            for alias in stmt.names:
-                if alias.asname:
-                    gens.append(alias.asname)
-                elif alias.name != "*":
-                    gens.append(alias.name.split(".")[0])
-        elif isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            gens.append(stmt.name)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                dels.extend(_target_names(target))
-    elif node.kind in ("test", "withitem") and node.binds is not None:
-        gens.extend(_target_names(node.binds))
-    elif node.kind == "except" and node.handler is not None:
-        if node.handler.name:
-            gens.append(node.handler.name)
-    elif node.kind == "case" and node.binds is not None:
-        gens.extend(_pattern_names(node.binds))  # type: ignore[arg-type]
-    if walrus is None:
-        _, walrus = _collect_uses(node)
-    gens.extend(walrus)
-    return gens, dels
-
-
-@dataclass(frozen=True)
-class _NodeFacts:
-    gens: tuple[str, ...]
-    dels: tuple[str, ...]
-    uses: tuple[ast.Name, ...]
-    walrus: frozenset[str]
-
-
-def _compute_facts(cfg: CFG) -> dict[int, _NodeFacts]:
-    facts: dict[int, _NodeFacts] = {}
-    for node in cfg:
-        uses, walrus = _collect_uses(node)
-        gens, dels = _node_binds(node, walrus=walrus)
-        facts[node.index] = _NodeFacts(
-            gens=tuple(gens),
-            dels=tuple(dels),
-            uses=tuple(uses),
-            walrus=frozenset(walrus),
-        )
-    return facts
-
-
-def _declared_nonlocal(body_cfg: CFG) -> set[str]:
-    out: set[str] = set()
-    for node in body_cfg:
-        if node.kind == "stmt" and isinstance(
-            node.stmt, (ast.Global, ast.Nonlocal)
-        ):
-            out.update(node.stmt.names)
-    return out
+def scope_table(tree: ast.Module) -> ScopeTable:
+    """Walk a parsed module once: every scope, binding, read and CFG."""
+    builder = _ScopeBuilder(tree)
+    builder._visit_all(tree.body)
+    return ScopeTable(builder.scopes, builder.uses)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +656,11 @@ class _TaintInterp:
     def __init__(
         self,
         import_aliases: dict[str, str],
+        facts: dict[int, _NodeFacts],
         record: ModuleDataflow | None = None,
     ) -> None:
         self.import_aliases = import_aliases
+        self.facts = facts
         self.record = record
 
     # -- expressions ----------------------------------------------------
@@ -610,7 +811,7 @@ class _TaintInterp:
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
                 self._assign([stmt.target], stmt.value, env)
             elif isinstance(stmt, ast.Delete):
-                for name in _target_names_many(stmt.targets):
+                for name in self.facts[node.index].dels:
                     env.pop(name, None)
             elif isinstance(
                 stmt,
@@ -622,8 +823,7 @@ class _TaintInterp:
                     ast.ClassDef,
                 ),
             ):
-                gens, _ = _node_binds(node)
-                for name in gens:
+                for name in self.facts[node.index].gens:
                     env[name] = Taint.UNKNOWN
             elif isinstance(stmt, ast.Expr):
                 self.eval(stmt.value, env)
@@ -648,17 +848,9 @@ class _TaintInterp:
                 env[node.handler.name] = Taint.UNKNOWN
         elif node.kind == "case":
             self.eval(node.expr, env)
-            if node.binds is not None:
-                for name in _pattern_names(node.binds):  # type: ignore[arg-type]
-                    env[name] = Taint.UNKNOWN
+            for name in self.facts[node.index].gens:
+                env[name] = Taint.UNKNOWN
         return env
-
-
-def _target_names_many(targets: list[ast.expr]) -> list[str]:
-    out: list[str] = []
-    for target in targets:
-        out.extend(_target_names(target))
-    return out
 
 
 def _join_envs(envs: list[dict[str, Taint]]) -> dict[str, Taint]:
@@ -672,9 +864,8 @@ def _join_envs(envs: list[dict[str, Taint]]) -> dict[str, Taint]:
 def _taint_fixpoint(
     cfg: CFG,
     seed: dict[str, Taint],
-    import_aliases: dict[str, str],
+    interp: _TaintInterp,
 ) -> dict[int, dict[str, Taint]]:
-    interp = _TaintInterp(import_aliases, record=None)
     entry = cfg.entry.index
     out_envs: dict[int, dict[str, Taint]] = {n.index: {} for n in cfg}
     in_envs: dict[int, dict[str, Taint]] = {n.index: {} for n in cfg}
@@ -704,15 +895,18 @@ def _taint_fixpoint(
 # ---------------------------------------------------------------------------
 
 
-def _param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
-    args = func.args
-    names = [a.arg for a in args.posonlyargs + args.args]
+def _arguments(args: ast.arguments) -> list[ast.arg]:
+    out = args.posonlyargs + args.args
     if args.vararg:
-        names.append(args.vararg.arg)
-    names.extend(a.arg for a in args.kwonlyargs)
+        out.append(args.vararg)
+    out.extend(args.kwonlyargs)
     if args.kwarg:
-        names.append(args.kwarg.arg)
-    return tuple(names)
+        out.append(args.kwarg)
+    return out
+
+
+def _param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
+    return tuple(a.arg for a in _arguments(func.args))
 
 
 def _seed_taints(
@@ -797,35 +991,25 @@ def analyze_dataflow(
 ) -> ModuleDataflow:
     """Run all per-scope analyses over a parsed module."""
     aliases = import_aliases or {}
-    result = ModuleDataflow()
-    scopes: list[tuple[ast.AST | None, CFG]] = [
-        (None, build_cfg(tree.body, "<module>"))
-    ]
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scopes.append((node, build_cfg(node.body, node.name)))
-
-    for scope_node, cfg in scopes:
-        if scope_node is None:
-            params: tuple[str, ...] = ()
-        else:
-            params = _param_names(scope_node)  # type: ignore[arg-type]
-
-        facts = _compute_facts(cfg)
+    table = scope_table(tree)
+    result = ModuleDataflow(table)
+    for scope in table.scopes:
+        cfg, facts = scope.cfg, scope.facts
+        if cfg is None:
+            continue  # class, lambda and comprehension scopes are not graphed
+        params = () if scope.node is None else _param_names(scope.node)  # type: ignore[arg-type]
 
         # names bound anywhere in this scope = use-before-def candidates
-        all_gens: set[str] = set()
-        nonlocals = _declared_nonlocal(cfg)
+        all_gens: set[str] = set(params)
         for fact in facts.values():
             all_gens.update(fact.gens)
-        candidates = frozenset(
-            (all_gens | set(params)) - nonlocals - _MODULE_DUNDERS
-        )
+        candidates = frozenset(all_gens - set(scope.declared) - _MODULE_DUNDERS)
 
         reach_in = _reaching_definitions(cfg, params, facts)
         bound_in = _definite_assignment(cfg, params, facts)
-        seed = _seed_taints(scope_node)
-        taint_in = _taint_fixpoint(cfg, seed, aliases)
+        taint_in = _taint_fixpoint(
+            cfg, _seed_taints(scope.node), _TaintInterp(aliases, facts)
+        )
 
         flow = ScopeFlow(
             name=cfg.name,
@@ -840,7 +1024,7 @@ def analyze_dataflow(
         )
 
         # final recording pass with the fixpoint IN environments
-        recorder = _TaintInterp(aliases, record=result)
+        recorder = _TaintInterp(aliases, facts, record=result)
         reachable = cfg.reachable()
         for node in cfg:
             if node.index in reachable and node.kind not in ("entry", "exit"):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.analysis.pipeline_rules import PIPELINE_RULES, VALIDATE_RULES
+from repro.analysis.pipeline_rules import PIPELINE_RULES
 from repro.analysis.repo_rules import REPO_RULES
 from repro.analysis.schema_rules import SCHEMA_RULES
 from repro.analysis.rules import (
@@ -47,11 +47,9 @@ __all__ = [
 ]
 
 #: registered rule profiles; ``pipeline`` gates generated code,
-#: ``validate`` is the legacy structural surface, ``repo`` self-lints
-#: the substrate in CI
+#: ``repo`` self-lints the substrate in CI
 PROFILES: dict[str, tuple[Rule, ...]] = {
     "pipeline": PIPELINE_RULES + SCHEMA_RULES,
-    "validate": VALIDATE_RULES,
     "repo": REPO_RULES,
 }
 

@@ -133,15 +133,15 @@ def _insert_after_imports(code: str, new_lines: list[str]) -> str:
 
 def _fix_missing_imports(code: str, target: FixTarget) -> str | None:
     """Insert imports for *every* known-but-unbound library symbol."""
+    from repro.analysis.dataflow import scope_table, undefined_uses
     from repro.analysis.pipeline_rules import KNOWN_LIBRARY_SYMBOLS
-    from repro.analysis.scopes import build_scopes
 
     try:
         tree = ast.parse(code)
     except SyntaxError:
         return None
     missing: list[str] = []
-    for name, _ in build_scopes(tree).undefined_uses():
+    for name, _ in undefined_uses(scope_table(tree)):
         if name in KNOWN_LIBRARY_SYMBOLS and name not in missing:
             missing.append(name)
     new_lines = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.dataflow import Taint, is_testish, is_trainish
+from repro.analysis.dataflow import Taint, is_testish, is_trainish, undefined_uses
 from repro.analysis.rules import AnalysisContext, Finding, Severity
 from repro.analysis.signatures import (
     check_call,
@@ -41,7 +41,6 @@ __all__ = [
     "NondeterminismRule",
     "SignatureRule",
     "PIPELINE_RULES",
-    "VALIDATE_RULES",
 ]
 
 #: symbols whose undefined use is statically attributable to a lost import
@@ -111,7 +110,7 @@ class MissingImportRule:
 
     def check(self, ctx: AnalysisContext) -> Iterable[Finding]:
         seen: set[str] = set()
-        for name, lineno in ctx.scopes.undefined_uses():
+        for name, lineno in undefined_uses(ctx.dataflow.table):
             if name not in KNOWN_LIBRARY_SYMBOLS or name in seen:
                 continue
             seen.add(name)
@@ -611,10 +610,4 @@ PIPELINE_RULES = (
     BranchUseBeforeDefRule(),
     NondeterminismRule(),
     SignatureRule(),
-)
-
-#: the legacy ``validate_source`` surface: structure + imports only
-VALIDATE_RULES = (
-    EntryPointRule(),
-    MissingImportRule(),
 )

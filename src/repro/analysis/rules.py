@@ -18,8 +18,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
 
-from repro.analysis.scopes import ScopeInfo, build_scopes
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.dataflow import ModuleDataflow
     from repro.catalog.catalog import DataCatalog
@@ -116,7 +114,6 @@ class AnalysisContext:
         self.filename = filename
         self.profile = profile
         self.catalog = catalog
-        self._scopes: ScopeInfo | None = None
         self._import_aliases: dict[str, str] | None = None
         self._dataflow: "ModuleDataflow | None" = None
         self._nodes: tuple[ast.AST, ...] | None = None
@@ -134,15 +131,8 @@ class AnalysisContext:
         return self._nodes
 
     @property
-    def scopes(self) -> ScopeInfo:
-        """Scope tree + uses, built lazily (shared across rules)."""
-        if self._scopes is None:
-            self._scopes = build_scopes(self.tree)
-        return self._scopes
-
-    @property
     def dataflow(self) -> "ModuleDataflow":
-        """Flow-sensitive results (CFG, taint, use-before-def), lazy."""
+        """Scope table + flow-sensitive results, lazy and shared."""
         if self._dataflow is None:
             from repro.analysis.dataflow import analyze_dataflow
 

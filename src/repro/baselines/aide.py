@@ -17,8 +17,7 @@ from typing import Any
 from repro.baselines.base import BaselineReport, traced_baseline_run
 from repro.analysis.engine import analyze_source
 from repro.generation.executor import execute_pipeline_code
-from repro.generation.validator import extract_code_block
-from repro.llm.base import LLMClient
+from repro.llm.base import LLMClient, extract_code_block
 from repro.llm.mock import embed_payload
 from repro.table.table import Table
 

@@ -19,8 +19,7 @@ from repro.baselines.base import BaselineReport, traced_baseline_run
 from repro.catalog.feature_types import infer_feature_type_heuristic
 from repro.analysis.engine import analyze_source
 from repro.generation.executor import execute_pipeline_code
-from repro.generation.validator import extract_code_block
-from repro.llm.base import LLMClient
+from repro.llm.base import LLMClient, extract_code_block
 from repro.llm.mock import embed_payload
 from repro.llm.tokenizer import count_tokens
 from repro.table.column import ColumnKind

@@ -22,8 +22,7 @@ from repro.baselines.base import (
     evaluate_predictions,
     traced_baseline_run,
 )
-from repro.generation.validator import extract_code_block
-from repro.llm.base import LLMClient
+from repro.llm.base import LLMClient, extract_code_block
 from repro.llm.mock import embed_payload
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.neighbors import TabPFNProxy

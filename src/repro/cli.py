@@ -40,6 +40,7 @@ import argparse
 import sys
 from typing import Sequence
 
+from repro.analysis.engine import PROFILES
 from repro.execpool.config import EXEC_MODES, MEMORY_ENV, MODE_ENV
 from repro.table.io_csv import DEFAULT_CHUNK_ROWS
 
@@ -232,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("paths", nargs="+",
                       help="files or directories to analyze")
-    lint.add_argument("--profile", default="repo",
-                      choices=("repo", "pipeline", "validate"),
+    lint.add_argument("--profile", default="repo", choices=sorted(PROFILES),
                       help="rule profile (default: repo self-lint)")
     lint.add_argument("--format", default="text", choices=("text", "json"),
                       dest="output_format", help="findings output format")

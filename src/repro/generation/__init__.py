@@ -23,8 +23,6 @@ __all__ = [
     "GenerationReport",
     "KnowledgeBase",
     "KnowledgeBaseEntry",
-    "ValidationIssue",
-    "validate_source",
     "ArtifactStore",
     "RunArtifact",
     "LibraryPolicy",
@@ -48,8 +46,6 @@ _LOCATIONS = {
     "GenerationReport": "repro.generation.generator",
     "KnowledgeBase": "repro.generation.knowledge_base",
     "KnowledgeBaseEntry": "repro.generation.knowledge_base",
-    "ValidationIssue": "repro.generation.validator",
-    "validate_source": "repro.generation.validator",
     "ArtifactStore": "repro.generation.artifacts",
     "RunArtifact": "repro.generation.artifacts",
     "LibraryPolicy": "repro.generation.constraints",
@@ -70,7 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.generation.executor import ExecutionResult, execute_pipeline_code
     from repro.generation.generator import CatDB, CatDBChain, GenerationReport
     from repro.generation.knowledge_base import KnowledgeBase, KnowledgeBaseEntry
-    from repro.generation.validator import ValidationIssue, validate_source
 
 
 def __getattr__(name: str):

@@ -32,8 +32,7 @@ from repro.analysis.fixes import fix_error
 from repro.generation.errors import ErrorGroup, PipelineError
 from repro.generation.executor import ExecutionResult, execute_pipeline_code
 from repro.generation.knowledge_base import KnowledgeBase
-from repro.generation.validator import extract_code_block
-from repro.llm.base import LLMClient
+from repro.llm.base import LLMClient, extract_code_block
 from repro.llm.codegen import generate_pipeline_code
 from repro.llm.profiles import get_profile
 from repro.obs.metrics import get_metrics

@@ -32,6 +32,7 @@ __all__ = [
     "LLMUsage",
     "LLMResponse",
     "LLMClient",
+    "extract_code_block",
     "ResilientLLM",
     "record_llm_call",
 ]
@@ -108,6 +109,19 @@ class LLMResponse:
     @property
     def total_tokens(self) -> int:
         return self.prompt_tokens + self.completion_tokens
+
+
+def extract_code_block(response_text: str) -> str:
+    """Pull the code out of a model response.
+
+    Prefers ``<CODE>...</CODE>`` tags; falls back to the raw text.  Leftover
+    markdown fences are intentionally NOT stripped here — detecting them is
+    the static analyzer's job (they are one of the 23 error types).
+    """
+    text = response_text
+    if "<CODE>" in text and "</CODE>" in text:
+        text = text.split("<CODE>", 1)[1].split("</CODE>", 1)[0]
+    return text.strip("\n")
 
 
 class LLMClient:

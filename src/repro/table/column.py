@@ -109,14 +109,21 @@ def _factorize_raw(values: list, types: set) -> tuple[list, np.ndarray] | None:
     if boolish and (boolish > 1 or numeric):
         return None
     try:
-        pool = list(dict.fromkeys(values))
+        first = dict.fromkeys(values)
     except TypeError:
         return None
-    index = {value: code for code, value in enumerate(pool)}
+    keys = values
+    if numeric and 0 in first:
+        # 0.0 == -0.0 share one dict slot; tag zeros with their sign
+        keys = [(v, math.copysign(1.0, v)) if v == 0 else v for v in values]
+        first = dict.fromkeys(keys)
+    index = {key: code for code, key in enumerate(first)}
     codes = np.fromiter(
-        map(index.__getitem__, values), dtype=np.int64, count=len(values)
+        map(index.__getitem__, keys), dtype=np.int64, count=len(values)
     )
-    return pool, codes
+    if keys is values:
+        return list(first), codes
+    return [k[0] if isinstance(k, tuple) else k for k in first], codes
 
 
 def _coerce_pool(

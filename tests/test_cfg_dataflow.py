@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import analyze_source
-from repro.analysis.cfg import build_cfg, scope_cfgs
+from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import Taint, analyze_dataflow
 from repro.catalog.profiler import profile_table
 from repro.table.table import Table
@@ -181,11 +181,11 @@ class TestCFGConstruction:
         ]
         assert not dead  # unreachable tail is not even materialized
 
-    def test_scope_cfgs_one_per_function(self):
+    def test_one_cfg_per_function_scope(self):
         tree = ast.parse(
             "def f():\n    pass\n\nclass C:\n    def m(self):\n        pass\n"
         )
-        names = [cfg.name for _, cfg in scope_cfgs(tree)]
+        names = [scope.cfg.name for scope in analyze_dataflow(tree).scopes]
         assert names == ["<module>", "f", "m"]
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import analyze_source
 from repro.generation.cost import CostModel
 from repro.generation.errors import (
     ERROR_TYPES,
@@ -19,7 +20,6 @@ from repro.generation.executor import (
 )
 from repro.generation.generator import CatDB, CatDBChain
 from repro.generation.knowledge_base import KnowledgeBase
-from repro.generation.validator import extract_code_block, validate_source
 from repro.llm.mock import MockLLM
 from repro.ml.model_selection import train_test_split
 from repro.table.table import Table
@@ -62,33 +62,33 @@ class TestErrorTaxonomy:
         assert "(line 7)" in error.render()
 
 
+def _error_types(code: str) -> list[str]:
+    return [e.error_type.name for e in analyze_source(code).pipeline_errors()]
+
+
 class TestValidator:
     def test_clean_code(self):
         code = "import numpy as np\n\ndef run_pipeline(train, test):\n    return {}\n"
-        assert validate_source(code) == []
+        assert analyze_source(code).ok
 
     def test_markdown_fence_detected(self):
-        issues = validate_source("```python\nx = 1\n```")
-        assert issues[0].type_name == "markdown_fence"
+        assert _error_types("```python\nx = 1\n```")[0] == "markdown_fence"
 
     def test_stray_prose_detected(self):
-        issues = validate_source(
+        types = _error_types(
             "Here is the code you asked for today\ndef run_pipeline(train, test):\n    return {}"
         )
-        assert issues[0].type_name == "stray_prose"
+        assert types[0] == "stray_prose"
 
     def test_indentation_detected(self):
-        issues = validate_source("def f():\n return 1\n  x = 2\n")
-        assert issues[0].type_name == "broken_indentation"
+        assert _error_types("def f():\n return 1\n  x = 2\n")[0] == "broken_indentation"
 
     def test_missing_import_detected(self):
         code = "def run_pipeline(train, test):\n    return {'x': np.zeros(1)}\n"
-        issues = validate_source(code)
-        assert any(i.type_name == "missing_import" for i in issues)
+        assert "missing_import" in _error_types(code)
 
     def test_missing_entrypoint_detected(self):
-        issues = validate_source("x = 1\n")
-        assert any(i.type_name == "truncated_code" for i in issues)
+        assert "truncated_code" in _error_types("x = 1\n")
 
     def test_comprehension_targets_not_flagged(self):
         code = (
@@ -96,13 +96,7 @@ class TestValidator:
             "    names = [c for c in train.column_names]\n"
             "    return {'n': len(names)}\n"
         )
-        assert validate_source(code) == []
-
-    def test_extract_code_block(self):
-        assert extract_code_block("before <CODE>\nx = 1\n</CODE> after") == "x = 1"
-
-    def test_extract_without_tags_returns_text(self):
-        assert extract_code_block("plain") == "plain"
+        assert analyze_source(code).ok
 
 
 class TestExecutor:

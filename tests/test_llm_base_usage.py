@@ -1,6 +1,6 @@
-"""Tests for LLM usage accounting and chat primitives."""
+"""Tests for LLM usage accounting, chat primitives and code extraction."""
 
-from repro.llm.base import ChatMessage, LLMUsage
+from repro.llm.base import ChatMessage, LLMUsage, extract_code_block
 
 
 class TestChatMessage:
@@ -38,3 +38,11 @@ class TestLLMUsage:
         assert delta.prompt_tokens == 7
         assert delta.completion_tokens == 3
         assert delta.n_requests == 1
+
+
+class TestExtractCodeBlock:
+    def test_extract_code_block(self):
+        assert extract_code_block("before <CODE>\nx = 1\n</CODE> after") == "x = 1"
+
+    def test_extract_without_tags_returns_text(self):
+        assert extract_code_block("plain") == "plain"

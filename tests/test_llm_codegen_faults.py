@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.analysis import analyze_source
 from repro.generation.errors import ERROR_TYPES, ErrorGroup
 from repro.generation.executor import execute_pipeline_code
-from repro.generation.validator import validate_source
 from repro.llm.codegen import build_encoding_plan, choose_model, generate_pipeline_code
 from repro.llm.faults import (
     choose_error_type,
@@ -123,7 +123,7 @@ class TestGeneratedCode:
 
     def test_clean_code_valid_and_executes(self, tables):
         code = generate_pipeline_code(_payload(), GPT, salt=0)
-        assert validate_source(code) == []
+        assert analyze_source(code).ok
         result = execute_pipeline_code(code, *tables)
         assert result.success, result.error
         assert "test_auc" in result.metrics
@@ -157,9 +157,9 @@ class TestFaultInjection:
     def test_syntax_faults_break_parsing(self, type_name):
         code = generate_pipeline_code(_payload(), GPT, salt=0)
         corrupted = inject_fault(code, ERROR_TYPES[type_name], salt=0)
-        issues = validate_source(corrupted)
+        issues = analyze_source(corrupted).pipeline_errors()
         assert issues, f"{type_name} should produce a static issue"
-        assert issues[0].error.group in (ErrorGroup.SE, ErrorGroup.RE)
+        assert issues[0].group in (ErrorGroup.SE, ErrorGroup.RE)
 
     @pytest.mark.parametrize("type_name,exception", [
         ("missing_package", "ModuleNotFoundError"),
@@ -209,7 +209,7 @@ class TestRepair:
         corrupted = inject_fault(code, ERROR_TYPES[type_name], salt=0)
         fixed = repair_code(corrupted, type_name, payload=_payload(), profile=GPT)
         assert fixed is not None
-        assert validate_source(fixed) == []
+        assert analyze_source(fixed).ok
 
     def test_truncated_requires_payload(self):
         code = generate_pipeline_code(_payload(), GPT, salt=0)

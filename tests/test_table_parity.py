@@ -10,6 +10,7 @@ built from the same coercion primitives (``_infer_kind`` /
 ``_format_value`` / ``_to_bool``) the batch path keeps.
 """
 
+import math
 import random
 
 import numpy as np
@@ -109,6 +110,23 @@ def test_column_matches_reference(seed):
     assert col.value_counts() == ref_value_counts(cells)
     assert col.n_distinct == len(ref_unique(cells))
     assert col.n_missing == sum(1 for v in cells if v is None)
+
+
+def _signs(cells):
+    return [None if v is None else math.copysign(1.0, v) for v in cells]
+
+
+@pytest.mark.parametrize("values", [
+    [None, 0.0, -0.0],
+    [None, -0.0, 0.0],
+    [None, 0, -0.0, 2.5],
+])
+def test_signed_zero_survives_encoding(values):
+    # 0.0 == -0.0 share a hash slot; the pool must still keep the sign
+    kind, cells = ref_coerce(values)
+    col = Table.from_dict({"a": values})["a"]
+    assert col.kind is kind
+    assert _signs(col.to_list()) == _signs(cells)
 
 
 @pytest.mark.parametrize("seed", range(6))
