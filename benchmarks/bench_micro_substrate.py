@@ -17,7 +17,7 @@ from repro.llm.codegen import generate_pipeline_code
 from repro.llm.mock import MockLLM
 from repro.llm.profiles import get_profile
 from repro.resilience.retry import RetryPolicy
-from repro.ml.forest import RandomForestClassifier
+from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.pipeline import TableVectorizer
 from repro.obs.trace import Tracer, set_tracer
 from repro.prompt.builder import build_prompt_plan
@@ -163,6 +163,28 @@ def test_micro_forest_fit(benchmark):
         lambda: RandomForestClassifier(
             n_estimators=10, max_depth=8, random_state=0
         ).fit(X, y)
+    )
+    assert model.score(X, y) > 0.8
+
+
+def test_micro_forest_predict(benchmark):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(600, 20))
+    y = np.where(X[:, 0] + X[:, 1] > 0, "a", "b")
+    model = RandomForestClassifier(n_estimators=10, max_depth=8, random_state=0).fit(X, y)
+
+    proba = benchmark(lambda: model.predict_proba(X))
+    assert proba.shape == (600, 2)
+
+
+def test_micro_forest_regressor_fit(benchmark):
+    # Many small nodes: the per-node cost of the regression split search.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(300, 15))
+    y = X[:, 0] - 2 * X[:, 1] + rng.normal(scale=0.5, size=300)
+
+    model = benchmark(
+        lambda: RandomForestRegressor(n_estimators=10, random_state=0).fit(X, y)
     )
     assert model.score(X, y) > 0.8
 

@@ -7,7 +7,7 @@ from typing import Any
 import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin, check_X, check_X_y
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _label_codes, _pool_size
 
 __all__ = ["RandomForestClassifier", "RandomForestRegressor"]
 
@@ -62,19 +62,16 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
 
     def fit(self, X: Any, y: Any) -> "RandomForestClassifier":
         X, y = check_X_y(X, y)
-        self.classes_ = sorted(set(y.tolist()), key=str)
+        pool = _pool_size(self.max_features, X.shape[1])
+        self.classes_, codes = _label_codes(y)
+        XT = np.ascontiguousarray(X.T)
         rng = np.random.default_rng(self.random_state)
         self.estimators_ = []
         for t in range(self.n_estimators):
             tree = DecisionTreeClassifier(**self._tree_params(self.random_state + t))
             tree.classes_ = self.classes_  # fixed label order across trees
-            index = {label: i for i, label in enumerate(self.classes_)}
-            codes = np.asarray([index[v] for v in y], dtype=np.int64)
             idx = self._sample(X.shape[0], rng)
-            tree.n_features_ = X.shape[1]
-            tree.root_ = tree._build(
-                X[idx], codes[idx], depth=0, rng=np.random.default_rng(self.random_state + t)
-            )
+            tree._grow(XT[:, idx], codes[idx], pool)
             self.estimators_.append(tree)
         return self
 
@@ -97,16 +94,15 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
 
     def fit(self, X: Any, y: Any) -> "RandomForestRegressor":
         X, y = check_X_y(X, y)
+        pool = _pool_size(self.max_features, X.shape[1])
         y = y.astype(np.float64)
+        XT = np.ascontiguousarray(X.T)
         rng = np.random.default_rng(self.random_state)
         self.estimators_ = []
         for t in range(self.n_estimators):
             tree = DecisionTreeRegressor(**self._tree_params(self.random_state + t))
             idx = self._sample(X.shape[0], rng)
-            tree.n_features_ = X.shape[1]
-            tree.root_ = tree._build(
-                X[idx], y[idx], depth=0, rng=np.random.default_rng(self.random_state + t)
-            )
+            tree._grow(XT[:, idx], y[idx], pool)
             self.estimators_.append(tree)
         return self
 
