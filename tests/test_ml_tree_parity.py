@@ -11,6 +11,7 @@ matrices with ties, constant columns, 0/1 indicator columns, few and many
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
 from typing import Any
 
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro.ml.boosting as boosting
+import repro.ml.tree as tree_module
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin, check_X, check_X_y
 from repro.ml.boosting import GradientBoostingClassifier, GradientBoostingRegressor
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
@@ -464,6 +466,57 @@ def test_many_classes_use_the_pairwise_sum_path():
     ref = RefDecisionTreeClassifier(**params).fit(X, y)
     assert_same_tree(new, ref)
     assert _same(new.predict_proba(X), ref.predict_proba(X))
+
+
+# Node sizes pick the split-search path; these force one path everywhere.
+PATHS = {
+    "default": {},
+    "screened-in-one-candidate-batches": {"_DENSE_CELLS": 0, "_COUNT_CELLS": 1},
+    "prefix-counted": {"_DENSE_CELLS": 1 << 62},
+}
+
+
+@pytest.mark.parametrize("path", ["screened-in-one-candidate-batches", "prefix-counted"])
+def test_each_classification_path_bit_identical(path, monkeypatch):
+    for name, value in PATHS[path].items():
+        monkeypatch.setattr(tree_module, name, value)
+    for seed in range(100):
+        X, y, X_test, params = _case(seed, "classification")
+        indices = _sample_indices(seed, X.shape[0])
+        new = DecisionTreeClassifier(**params).fit(X, y, sample_indices=indices)
+        ref = RefDecisionTreeClassifier(**params).fit(X, y, sample_indices=indices)
+        assert_same_tree(new, ref)
+        assert _same(new.predict_proba(X_test), ref.predict_proba(X_test))
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_one_class_per_row(path, monkeypatch):
+    # Every candidate split ties (purity 2), so all of them pass the screen.
+    for name, value in PATHS[path].items():
+        monkeypatch.setattr(tree_module, name, value)
+    rng = np.random.default_rng(5)
+    X = _matrix(rng, 60, 6)
+    X[:, 0] = rng.normal(size=60)
+    y = rng.permutation(60)
+    for params in [{}, {"max_features": "sqrt", "random_state": 2}, {"min_samples_leaf": 3}]:
+        new = DecisionTreeClassifier(**params).fit(X, y)
+        ref = RefDecisionTreeClassifier(**params).fit(X, y)
+        assert_same_tree(new, ref)
+        assert _same(new.predict_proba(X), ref.predict_proba(X))
+
+
+def test_class_counts_stay_bounded_when_classes_approach_rows():
+    # 500 rows, 500 classes, 16 continuous features: every candidate of the
+    # root ties, and counting them all at once takes over 100 MB.
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(500, 16)), np.arange(500)
+    tracemalloc.start()
+    try:
+        DecisionTreeClassifier(max_depth=1).fit(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # -- ensembles ------------------------------------------------------------------
