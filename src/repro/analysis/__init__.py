@@ -21,7 +21,8 @@ errors are expensive) as a multi-pass AST analyzer:
   :class:`RuleConfig`);
 - :mod:`repro.analysis.pipeline_rules` — ML-pipeline rules (data
   leakage, use-before-def, banned APIs, nondeterminism, known-signature
-  misuse);
+  misuse), and the opt-in ``library-policy`` rule a generator's
+  :class:`~repro.analysis.pipeline_rules.LibraryPolicy` runs;
 - :mod:`repro.analysis.schema_rules` — catalog-grounded checks: when a
   :class:`~repro.catalog.catalog.DataCatalog` is supplied, column
   references, dtypes and the target column are verified against the

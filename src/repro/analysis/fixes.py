@@ -317,6 +317,55 @@ def _fix_drop_banned_line(code: str, target: FixTarget) -> str | None:
     return fixed if _parses(fixed) else None
 
 
+def _fix_policy_import(code: str, target: FixTarget) -> str | None:
+    """Re-point one import the library policy rejected at its stand-in.
+
+    The ``library-policy`` finding names the module and, when the policy
+    permits a stand-in, the replacement.  A ``from pkg import X`` line is
+    re-pointed at the stand-in.  An ``import`` line drops only the
+    violating alias (the code already imports the ``repro`` equivalents
+    it uses); a line left with no statement is blanked, so line numbers
+    stay put, or becomes ``pass`` where a block would be left empty.
+    """
+    from repro.analysis.pipeline_rules import POLICY_REWRITE_RE
+
+    match = POLICY_REWRITE_RE.search(target.message)
+    if match is None or target.line is None:
+        return None
+    module, replacement = match["module"], match["replacement"]
+    lines = code.split("\n")
+    idx = target.line - 1
+    if not 0 <= idx < len(lines):
+        return None
+    line = lines[idx]
+    if not line.lstrip().startswith("import "):
+        lines[idx] = line.replace(module, replacement)
+        return "\n".join(lines)
+    try:
+        tree = ast.parse(code)
+    except SyntaxError:
+        return None
+    node = next((
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Import) and n.lineno == target.line
+        and n.end_lineno == target.line
+        and any(alias.name == module for alias in n.names)
+    ), None)
+    if node is None:
+        return None
+    kept = [alias for alias in node.names if alias.name != module]
+    raw = line.encode()
+    head, tail = raw[:node.col_offset], raw[node.end_col_offset:]
+    for statement in ([ast.unparse(ast.Import(names=kept))] if kept else ["", "pass"]):
+        lines[idx] = (head + statement.encode() + tail).decode()
+        if not lines[idx].strip():
+            lines[idx] = ""
+        fixed = "\n".join(lines)
+        if _parses(fixed):
+            return fixed
+    return None
+
+
 _RANDOM_STATE_NONE_RE = re.compile(r"random_state\s*=\s*None")
 _DEFAULT_RNG_EMPTY_RE = re.compile(r"default_rng\(\s*\)")
 
@@ -366,9 +415,13 @@ class _FixerSpec:
     error_types: frozenset[str]
     apply: _Fixer = field(compare=False)
     description: str = ""
+    #: rule ids whose findings the fixer may act on (None: any source)
+    rule_ids: frozenset[str | None] | None = None
 
     def matches(self, target: FixTarget) -> bool:
-        return target.error_type in self.error_types
+        return target.error_type in self.error_types and (
+            self.rule_ids is None or target.rule_id in self.rule_ids
+        )
 
 
 _FIXERS: tuple[_FixerSpec, ...] = (
@@ -396,9 +449,19 @@ _FIXERS: tuple[_FixerSpec, ...] = (
         "rewrite-env-access", frozenset({"env_variable"}),
         _fix_env_access, "replace environment reads with their defaults",
     ),
+    # scoped to what the banned-api rule (or a runtime error) reports: a
+    # generic wrong_api such as a signature mismatch has no line-drop fix
     _FixerSpec(
         "drop-banned-line", frozenset({"missing_data_file", "wrong_api"}),
         _fix_drop_banned_line, "remove a banned single-line statement",
+        rule_ids=frozenset({None, "banned-api"}),
+    ),
+    # library-policy findings only: a runtime ModuleNotFoundError is a
+    # missing_package too, and stays with the knowledge base
+    _FixerSpec(
+        "rewrite-policy-import", frozenset({"missing_package"}),
+        _fix_policy_import, "re-point a policy-violating import at its stand-in",
+        rule_ids=frozenset({"library-policy"}),
     ),
     _FixerSpec(
         "pin-seed", frozenset({"no_convergence"}),
@@ -415,14 +478,6 @@ def fix_target(code: str, target: FixTarget) -> FixResult:
     """Try every fixer registered for the target's error class."""
     for spec in _FIXERS:
         if not spec.matches(target):
-            continue
-        # banned-line dropping is scoped to findings the banned-api rule
-        # produced: a generic wrong_api (e.g. a signature mismatch) has
-        # no mechanical line-drop fix
-        if (
-            spec.fixer_id == "drop-banned-line"
-            and target.rule_id not in (None, "banned-api")
-        ):
             continue
         fixed = spec.apply(code, target)
         if fixed is not None and fixed != code and _parses(fixed):

@@ -15,11 +15,18 @@ failure — crucially *without* paying ``execute_pipeline_code``:
 - ``nondeterminism``   — unseeded global RNGs, ``random_state=None``
 - ``signature``        — calls into the known ``repro.ml`` surface that
   cannot bind (wrong keyword, impossible arity, missing method)
+
+``library-policy`` is opt-in and not part of :data:`PIPELINE_RULES`: a
+:class:`LibraryPolicy` *is* that rule, and the generators run it on each
+completion only when they are given one (the allow/deny lists the paper
+names as future work in Section 4.3).
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.analysis.dataflow import Taint, is_testish, is_trainish, undefined_uses
@@ -41,6 +48,8 @@ __all__ = [
     "NondeterminismRule",
     "SignatureRule",
     "PIPELINE_RULES",
+    "LibraryPolicy",
+    "POLICY_REWRITE_RE",
 ]
 
 #: symbols whose undefined use is statically attributable to a lost import
@@ -54,7 +63,7 @@ KNOWN_LIBRARY_SYMBOLS = frozenset({
     "DecisionTreeClassifier", "DecisionTreeRegressor",
     "LogisticRegression", "LinearRegression", "Ridge",
     "GaussianNB", "KNeighborsClassifier", "KNeighborsRegressor", "TabPFNProxy",
-    "LinearSVC", "KMeans",
+    "LinearSVC",
     "GridSearchCV", "RandomizedSearchCV", "train_test_split", "cross_val_score",
     "accuracy_score", "roc_auc_score", "r2_score", "f1_score", "log_loss",
     "SimpleImputer", "StandardScaler", "MinMaxScaler", "RobustScaler",
@@ -611,3 +620,75 @@ PIPELINE_RULES = (
     NondeterminismRule(),
     SignatureRule(),
 )
+
+
+_DEFAULT_ALLOWED = frozenset({"repro", "numpy", "scipy", "networkx", "math", "json"})
+
+#: approved stand-ins for commonly requested external packages
+_REWRITES = {
+    "xgboost": "repro.ml",
+    "lightgbm": "repro.ml",
+    "catboost": "repro.ml",
+    "sklearn": "repro.ml",
+    "pandas": "repro.table",
+}
+
+#: parses the stand-in out of a ``library-policy`` finding's message
+#: (the ``rewrite-policy-import`` fixer's input; see ``_finding``)
+POLICY_REWRITE_RE = re.compile(
+    r"import of '(?P<module>[\w.]+)' .*; rewrite to '(?P<replacement>[\w.]+)'$"
+)
+
+
+@dataclass
+class LibraryPolicy:
+    """Compliance policy for generated code, run as the ``library-policy`` rule.
+
+    ``allowed`` is an allowlist of top-level modules (None disables the
+    allowlist); ``disallowed`` is always enforced on top of it.  With
+    ``rewrite`` on, a violating import of a package that has an approved
+    stand-in says so in its message, and the ``rewrite-policy-import``
+    fixer re-points it.
+    """
+
+    allowed: frozenset[str] | None = _DEFAULT_ALLOWED
+    disallowed: frozenset[str] = frozenset()
+    rewrite: bool = True
+
+    id = "library-policy"
+    description = "generated code imports a library the policy does not permit"
+    default_severity = Severity.ERROR
+
+    def permits(self, module: str) -> bool:
+        top = module.split(".")[0]
+        if top in self.disallowed:
+            return False
+        return self.allowed is None or top in self.allowed
+
+    def check(self, ctx: AnalysisContext) -> Iterable[Finding]:
+        for node in ctx.walk():
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                if not self.permits(module):
+                    yield self._finding(module, node.lineno)
+
+    def _finding(self, module: str, line: int) -> Finding:
+        top = module.split(".")[0]
+        reason = "disallowed" if top in self.disallowed else "not allowlisted"
+        message = f"import of {module!r} is {reason} by the library policy"
+        replacement = _REWRITES.get(top)
+        if self.rewrite and replacement is not None and self.permits(replacement):
+            message += f"; rewrite to {replacement!r}"
+        return Finding(
+            rule_id=self.id,
+            severity=self.default_severity,
+            message=message,
+            line=line,
+            error_type="missing_package",
+            details={"module": module, "reason": reason},
+        )

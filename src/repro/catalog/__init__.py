@@ -23,7 +23,6 @@ from repro.catalog.streaming import (
     peak_rss_bytes,
     profile_table_streaming,
 )
-from repro.catalog.validation import Expectation, ExpectationSuite, ValidationReport
 
 __all__ = [
     "ColumnProfile",
@@ -45,7 +44,4 @@ __all__ = [
     "resolve_workers",
     "RefinementResult",
     "refine_catalog",
-    "Expectation",
-    "ExpectationSuite",
-    "ValidationReport",
 ]

@@ -23,12 +23,7 @@ __all__ = [
     "GenerationReport",
     "KnowledgeBase",
     "KnowledgeBaseEntry",
-    "ArtifactStore",
-    "RunArtifact",
     "LibraryPolicy",
-    "LibraryViolation",
-    "check_imports",
-    "enforce_policy",
 ]
 
 _LOCATIONS = {
@@ -46,12 +41,7 @@ _LOCATIONS = {
     "GenerationReport": "repro.generation.generator",
     "KnowledgeBase": "repro.generation.knowledge_base",
     "KnowledgeBaseEntry": "repro.generation.knowledge_base",
-    "ArtifactStore": "repro.generation.artifacts",
-    "RunArtifact": "repro.generation.artifacts",
-    "LibraryPolicy": "repro.generation.constraints",
-    "LibraryViolation": "repro.generation.constraints",
-    "check_imports": "repro.generation.constraints",
-    "enforce_policy": "repro.generation.constraints",
+    "LibraryPolicy": "repro.analysis.pipeline_rules",
 }
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only

@@ -16,19 +16,16 @@ deterministic hand-crafted fallback pipeline as the last resort.
 
 from __future__ import annotations
 
+import ast
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.catalog.catalog import DataCatalog
-from typing import TYPE_CHECKING
-
 from repro.generation.cost import CostModel
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.generation.constraints import LibraryPolicy
 from repro.analysis.engine import analyze_source
-from repro.analysis.fixes import fix_error
+from repro.analysis.fixes import fix_error, fix_findings
+from repro.analysis.rules import AnalysisContext, run_rules
 from repro.generation.errors import ErrorGroup, PipelineError
 from repro.generation.executor import ExecutionResult, execute_pipeline_code
 from repro.generation.knowledge_base import KnowledgeBase
@@ -43,6 +40,10 @@ from repro.prompt.combinations import MetadataCombination
 from repro.prompt.rules import SECTION_FE, SECTION_MODEL, SECTION_PREPROCESSING
 from repro.prompt.templates import render_error_prompt
 from repro.table.table import Table
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.pipeline_rules import LibraryPolicy
+    from repro.analysis.rules import Finding
 
 __all__ = ["GenerationReport", "CatDB", "CatDBChain"]
 
@@ -78,7 +79,7 @@ class GenerationReport:
     fallback_used: bool = False
     degraded: bool = False
     degraded_reason: str = ""
-    library_violations: list = field(default_factory=list)
+    library_violations: list[Finding] = field(default_factory=list)  # policy findings left
     static_exec_skipped: int = 0  # candidate executions avoided by the static gate
 
     @property
@@ -167,11 +168,28 @@ class _GeneratorBase:
         )
         code = extract_code_block(response.content)
         if self.library_policy is not None:
-            from repro.generation.constraints import enforce_policy
-
-            code, remaining = enforce_policy(code, self.library_policy)
-            report.library_violations.extend(remaining)
+            code = self._enforce_policy(report, code)
         return code
+
+    def _enforce_policy(self, report: GenerationReport, code: str) -> str:
+        """Run the ``library-policy`` rule and its rewrite fixer to a fixpoint.
+
+        Each round fixes the first rewritable finding and re-checks, so
+        line numbers always refer to the current code; what no rewrite
+        clears is recorded on the report.  Unparseable code has nothing
+        to check and is left to the static gate.
+        """
+        while True:
+            try:
+                tree = ast.parse(code)
+            except SyntaxError:
+                return code
+            findings = run_rules(AnalysisContext(code, tree), (self.library_policy,))
+            result = fix_findings(code, findings)
+            if not result.changed:
+                report.library_violations.extend(findings)
+                return code
+            code = result.code
 
     # -- error management (Algorithm 4, lines 3-15) ---------------------------------
 

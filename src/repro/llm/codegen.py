@@ -206,17 +206,6 @@ def generate_pipeline_code(
     rules = _rules_by_kind(payload)
     plan, features, dropped = build_encoding_plan(payload, profile, salt)
 
-    selection_rule = rules.get("feature_selection")
-    if selection_rule is not None:
-        ranked = selection_rule.get("params", {}).get("ranked") or []
-        top_k = selection_rule.get("params", {}).get("top_k")
-        if ranked and top_k:
-            keep = [name for name in ranked if name in plan][: int(top_k)]
-            if keep:
-                dropped.extend(sorted(set(features) - set(keep)))
-                features = keep
-                plan = {name: plan[name] for name in keep}
-
     drop_row_columns = [
         name for name, spec in plan.items() if spec.get("impute") == "drop_rows"
     ]

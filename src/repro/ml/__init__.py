@@ -8,8 +8,6 @@ an sklearn-flavoured ``fit`` / ``predict`` / ``transform`` API.
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin, TransformerMixin, clone
 from repro.ml.boosting import GradientBoostingClassifier, GradientBoostingRegressor
-from repro.ml.cluster import KMeans
-from repro.ml.feature_selection import SelectKBest, correlation_scores, f_classif
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.linear import LinearRegression, LogisticRegression, Ridge
 from repro.ml.metrics import (
@@ -59,11 +57,7 @@ __all__ = [
     "clone",
     "GradientBoostingClassifier",
     "GradientBoostingRegressor",
-    "KMeans",
     "LinearSVC",
-    "SelectKBest",
-    "correlation_scores",
-    "f_classif",
     "RandomForestClassifier",
     "RandomForestRegressor",
     "LinearRegression",

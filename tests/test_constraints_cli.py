@@ -1,13 +1,34 @@
 """Tests for library-constraint enforcement and the CLI."""
 
+import ast
+
 import pytest
 
+from repro.analysis.rules import AnalysisContext, run_rules
 from repro.cli import build_parser, main
-from repro.generation.constraints import (
-    LibraryPolicy,
-    check_imports,
-    enforce_policy,
-)
+from repro.generation import LibraryPolicy
+from repro.generation.generator import CatDB, GenerationReport
+from repro.llm.mock import MockLLM
+
+
+def check_imports(code, policy):
+    """The ``library-policy`` rule's findings (none for unparseable code)."""
+    try:
+        tree = ast.parse(code)
+    except SyntaxError:
+        return []
+    return run_rules(AnalysisContext(code, tree), (policy,))
+
+
+def enforce_policy(code, policy):
+    """What the generators do to each completion: (code, findings left)."""
+    report = GenerationReport(dataset="d", llm="gpt-4o", variant="catdb")
+    generator = CatDB(MockLLM("gpt-4o"), library_policy=policy)
+    return generator._enforce_policy(report, code), report.library_violations
+
+
+def _module(finding):
+    return finding.details["module"]
 
 
 class TestLibraryPolicy:
@@ -39,13 +60,13 @@ class TestCheckImports:
         code = "import numpy\nimport xgboost\n"
         violations = check_imports(code, LibraryPolicy())
         assert len(violations) == 1
-        assert violations[0].module == "xgboost"
+        assert _module(violations[0]) == "xgboost"
         assert violations[0].line == 2
 
     def test_from_import_checked(self):
         code = "from sklearn.ensemble import RandomForestClassifier\n"
         violations = check_imports(code, LibraryPolicy())
-        assert violations[0].module.startswith("sklearn")
+        assert _module(violations[0]).startswith("sklearn")
 
     def test_syntax_error_no_crash(self):
         assert check_imports("def broken(:", LibraryPolicy()) == []
@@ -69,7 +90,7 @@ class TestEnforcePolicy:
         code = "import torch\n"
         fixed, remaining = enforce_policy(code, LibraryPolicy())
         assert len(remaining) == 1
-        assert remaining[0].module == "torch"
+        assert _module(remaining[0]) == "torch"
 
     def test_rewrite_disabled(self):
         code = "import xgboost\n"
@@ -77,6 +98,31 @@ class TestEnforcePolicy:
             code, LibraryPolicy(rewrite=False)
         )
         assert len(remaining) == 1
+
+    def test_multi_name_import_drops_only_the_violating_alias(self):
+        code = "import numpy as np, xgboost\nx = np.zeros(2)\n"
+        fixed, remaining = enforce_policy(code, LibraryPolicy())
+        assert remaining == []
+        assert fixed == "import numpy as np\nx = np.zeros(2)\n"
+        exec(compile(fixed, "<policy>", "exec"), {})
+
+    @pytest.mark.parametrize("code, expected", [
+        ("def f():\n    import xgboost\n",
+         "def f():\n    pass\n"),
+        ("try:\n    import lightgbm\nexcept ImportError:\n    pass\n",
+         "try:\n    pass\nexcept ImportError:\n    pass\n"),
+    ])
+    def test_sole_import_in_a_block_becomes_pass(self, code, expected):
+        fixed, remaining = enforce_policy(code, LibraryPolicy())
+        assert remaining == []
+        assert fixed == expected
+        ast.parse(fixed)
+
+    def test_findings_come_from_the_rule_engine(self):
+        (finding,) = check_imports("import torch\n", LibraryPolicy())
+        assert finding.rule_id == "library-policy"
+        assert finding.error_type == "missing_package"
+        assert finding.details["reason"] == "not allowlisted"
 
 
 class TestGeneratorIntegration:

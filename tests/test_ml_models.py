@@ -227,3 +227,28 @@ class TestCloneAndParams:
 
     def test_repr_contains_params(self):
         assert "alpha=2.0" in repr(Ridge(alpha=2.0))
+
+
+class TestFeatureImportances:
+    def test_classifier_finds_signal_feature(self):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(400, 6))
+        y = np.where(X[:, 4] > 0, "a", "b")
+        forest = RandomForestClassifier(n_estimators=12, max_depth=6).fit(X, y)
+        importances = forest.feature_importances_
+        assert importances.argmax() == 4
+        assert importances.sum() == pytest.approx(1.0)
+
+    def test_regressor_importances(self):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(300, 4))
+        y = 5 * X[:, 1] + 0.1 * rng.normal(size=300)
+        forest = RandomForestRegressor(n_estimators=10, max_depth=6).fit(X, y)
+        assert forest.feature_importances_.argmax() == 1
+
+    def test_non_negative(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(100, 3))
+        y = np.where(X[:, 0] > 0, "p", "n")
+        forest = RandomForestClassifier(n_estimators=5, max_depth=4).fit(X, y)
+        assert (forest.feature_importances_ >= 0).all()

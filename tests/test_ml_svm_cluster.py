@@ -1,9 +1,8 @@
-"""Tests for LinearSVC and KMeans."""
+"""Tests for LinearSVC."""
 
 import numpy as np
 import pytest
 
-from repro.ml.cluster import KMeans
 from repro.ml.metrics import accuracy_score
 from repro.ml.svm import LinearSVC
 
@@ -59,51 +58,3 @@ class TestLinearSVC:
         b = LinearSVC(max_iter=3, random_state=5).fit(X_tr, y_tr)
         assert (a.predict(X_te) == b.predict(X_te)).all()
 
-
-class TestKMeans:
-    @pytest.fixture(scope="class")
-    def blobs(self):
-        rng = np.random.default_rng(0)
-        return np.vstack([
-            rng.normal([0, 0], 0.3, (60, 2)),
-            rng.normal([5, 5], 0.3, (60, 2)),
-            rng.normal([0, 5], 0.3, (60, 2)),
-        ])
-
-    def test_finds_blob_centers(self, blobs):
-        km = KMeans(n_clusters=3, random_state=0).fit(blobs)
-        centers = sorted(km.cluster_centers_.round(0).tolist())
-        assert centers == [[0.0, 0.0], [0.0, 5.0], [5.0, 5.0]]
-
-    def test_labels_partition_rows(self, blobs):
-        km = KMeans(n_clusters=3, random_state=0).fit(blobs)
-        assert km.labels_.shape == (180,)
-        assert set(km.labels_.tolist()) == {0, 1, 2}
-
-    def test_predict_matches_fit_labels(self, blobs):
-        km = KMeans(n_clusters=3, random_state=0).fit(blobs)
-        assert (km.predict(blobs) == km.labels_).all()
-
-    def test_transform_shape_and_nonnegative(self, blobs):
-        km = KMeans(n_clusters=3, random_state=0).fit(blobs)
-        distances = km.transform(blobs[:10])
-        assert distances.shape == (10, 3)
-        assert (distances >= 0).all()
-
-    def test_inertia_decreases_with_more_clusters(self, blobs):
-        inertia_2 = KMeans(n_clusters=2, random_state=0).fit(blobs).inertia_
-        inertia_6 = KMeans(n_clusters=6, random_state=0).fit(blobs).inertia_
-        assert inertia_6 < inertia_2
-
-    def test_too_few_rows_rejected(self):
-        with pytest.raises(ValueError):
-            KMeans(n_clusters=5).fit(np.zeros((3, 2)))
-
-    def test_n_clusters_validated(self):
-        with pytest.raises(ValueError):
-            KMeans(n_clusters=0)
-
-    def test_deterministic(self, blobs):
-        a = KMeans(n_clusters=3, random_state=2).fit(blobs)
-        b = KMeans(n_clusters=3, random_state=2).fit(blobs)
-        assert (a.labels_ == b.labels_).all()

@@ -7,13 +7,25 @@ end with a successful execution *without* an LLM repair round-trip, for
 several distinct finding classes.
 """
 
+import ast
+
 import numpy as np
 import pytest
 
 from repro.analysis import analyze_source
-from repro.analysis.fixes import FixTarget, autofix, fix_target
+from repro.analysis.fixes import (
+    FixTarget,
+    _import_line_for,
+    autofix,
+    fix_error,
+    fix_target,
+)
+from repro.analysis.pipeline_rules import KNOWN_LIBRARY_SYMBOLS
+from repro.analysis.rules import AnalysisContext, run_rules
 from repro.catalog.profiler import profile_table
 from repro.cli import main
+from repro.generation import LibraryPolicy
+from repro.generation.errors import ERROR_TYPES, PipelineError
 from repro.generation.generator import CatDB
 from repro.llm import faults
 from repro.llm.base import LLMClient, LLMResponse
@@ -117,6 +129,33 @@ class TestFixers:
         )
         result = _fix(dirty, "wrong_api", line=3, rule_id="signature")
         assert not result.changed
+
+    def test_policy_import_rewritten_for_policy_findings_only(self):
+        dirty = "import numpy as np\nfrom sklearn.linear_model import Ridge\n"
+        ctx = AnalysisContext(dirty, ast.parse(dirty))
+        (finding,) = run_rules(ctx, (LibraryPolicy(),))
+        target = FixTarget(
+            finding.error_type, finding.message, finding.line, finding.rule_id
+        )
+        result = fix_target(dirty, target)
+        assert result.code == "import numpy as np\nfrom repro.ml import Ridge\n"
+        assert result.applied[0].fixer_id == "rewrite-policy-import"
+        # a runtime ModuleNotFoundError is missing_package too: it stays
+        # with the knowledge base, whatever its message says
+        runtime = FixTarget(finding.error_type, finding.message, finding.line)
+        assert not fix_target(dirty, runtime).changed
+        error = PipelineError(
+            ERROR_TYPES["missing_package"], finding.message, line=finding.line
+        )
+        assert not fix_error(dirty, error).changed
+
+    def test_every_known_symbol_has_an_import_that_runs(self):
+        for symbol in sorted(KNOWN_LIBRARY_SYMBOLS):
+            line = _import_line_for(symbol)
+            assert line is not None, symbol
+            namespace: dict = {}
+            exec(compile(line, "<import>", "exec"), namespace)
+            assert symbol in namespace, (symbol, line)
 
     def test_seed_pinned(self):
         dirty = (
