@@ -221,6 +221,10 @@ def _semantic_check(metrics: dict[str, Any], train: Table) -> PipelineError | No
             return PipelineError(
                 ERROR_TYPES["no_convergence"], f"metric {key!r} is NaN"
             )
+        if abs(value) == float("inf"):
+            return PipelineError(
+                ERROR_TYPES["no_convergence"], f"metric {key!r} is {value}"
+            )
         if key.endswith(("accuracy", "auc")) and not -1e-9 <= value <= 1 + 1e-9:
             return PipelineError(
                 ERROR_TYPES["no_convergence"],

@@ -32,6 +32,7 @@ from repro.generation.knowledge_base import KnowledgeBase
 from repro.llm.base import LLMClient, extract_code_block
 from repro.llm.codegen import generate_pipeline_code
 from repro.llm.profiles import get_profile
+from repro.ml.reuse import fit_reuse_scope
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.resilience.errors import ResilienceGiveUp, TransientError
@@ -384,16 +385,26 @@ class _GeneratorBase:
     ) -> GenerationReport:
         metrics = get_metrics()
         with get_tracer().span("generate.finalize") as span:
-            if not code or self._first_error(
-                report, code, train_sample, test_sample,
-                catalog=plan.catalog,
-            ) is not None:
+            # why the fallback fired: none | no_code | validation:<type>
+            # | final_run:<type>
+            reason = "none"
+            if not code:
+                reason = "no_code"
+            else:
+                error = self._first_error(
+                    report, code, train_sample, test_sample,
+                    catalog=plan.catalog,
+                )
+                if error is not None:
+                    reason = f"validation:{error.error_type.name}"
+            if reason != "none":
                 report.fallback_used = True
                 code = self._handcraft(plan)
             result: ExecutionResult = self._execute(code, train, test)
             if not result.success and not report.fallback_used:
                 if result.error is not None:
                     report.errors.append(result.error)
+                    reason = f"final_run:{result.error.error_type.name}"
                 report.fallback_used = True
                 code = self._handcraft(plan)
                 result = self._execute(code, train, test)
@@ -405,7 +416,7 @@ class _GeneratorBase:
                 report.errors.append(result.error)
             span.set(
                 success=result.success, fallback=report.fallback_used,
-                degraded=report.degraded,
+                degraded=report.degraded, reason=reason,
             )
         if report.fallback_used:
             metrics.inc("generate.fallbacks")
@@ -438,7 +449,7 @@ class CatDB(_GeneratorBase):
         report = GenerationReport(
             dataset=catalog.info.name, llm=self.llm.model, variant=self.variant
         )
-        with get_tracer().span(
+        with fit_reuse_scope(), get_tracer().span(
             "generate.run", dataset=catalog.info.name, llm=self.llm.model,
             variant=self.variant, iteration=iteration,
         ) as span:
@@ -498,7 +509,7 @@ class CatDBChain(_GeneratorBase):
             dataset=catalog.info.name, llm=self.llm.model, variant=self.variant
         )
         tracer = get_tracer()
-        with tracer.span(
+        with fit_reuse_scope(), tracer.span(
             "generate.run", dataset=catalog.info.name, llm=self.llm.model,
             variant=self.variant, iteration=iteration, beta=self.beta,
         ) as run_span:

@@ -7,6 +7,7 @@ from typing import Any
 import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin, check_X, check_X_y
+from repro.ml.reuse import reusable_fit
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _label_codes, _pool_size
 
 __all__ = ["RandomForestClassifier", "RandomForestRegressor"]
@@ -60,6 +61,7 @@ class _BaseForest(BaseEstimator):
 class RandomForestClassifier(_BaseForest, ClassifierMixin):
     """Majority-probability voting over bootstrapped Gini trees."""
 
+    @reusable_fit
     def fit(self, X: Any, y: Any) -> "RandomForestClassifier":
         X, y = check_X_y(X, y)
         pool = _pool_size(self.max_features, X.shape[1])
@@ -92,6 +94,7 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
 class RandomForestRegressor(_BaseForest, RegressorMixin):
     """Mean aggregation over bootstrapped variance-reduction trees."""
 
+    @reusable_fit
     def fit(self, X: Any, y: Any) -> "RandomForestRegressor":
         X, y = check_X_y(X, y)
         pool = _pool_size(self.max_features, X.shape[1])

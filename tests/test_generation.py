@@ -20,8 +20,10 @@ from repro.generation.executor import (
 )
 from repro.generation.generator import CatDB, CatDBChain
 from repro.generation.knowledge_base import KnowledgeBase
+from repro.llm.base import LLMClient, LLMResponse
 from repro.llm.mock import MockLLM
 from repro.ml.model_selection import train_test_split
+from repro.obs.trace import Tracer, set_tracer
 from repro.table.table import Table
 
 
@@ -139,6 +141,15 @@ class TestExecutor:
             "def run_pipeline(train, test):\n"
             "    return {'test_accuracy': float('nan')}\n"
         )
+        result = execute_pipeline_code(code, *self._tables())
+        assert not result.success
+        assert result.error.error_type.name == "no_convergence"
+
+    @pytest.mark.parametrize(
+        "metric", ["{'test_rmse': float('inf')}", "{'test_r2': float('-inf')}"]
+    )
+    def test_infinite_metric_flagged_as_semantic_error(self, metric):
+        code = f"def run_pipeline(train, test):\n    return {metric}\n"
         result = execute_pipeline_code(code, *self._tables())
         assert not result.success
         assert result.error.error_type.name == "no_convergence"
@@ -342,6 +353,70 @@ class TestCatDBGenerator:
         lean_report = lean.generate(train, test, catalog)
         rich_report = rich.generate(train, test, catalog)
         assert rich_report.cost.prompt_tokens > lean_report.cost.prompt_tokens
+
+
+class _FixedLLM(LLMClient):
+    """Answers every prompt with the same code; ``None`` drops the link."""
+
+    def __init__(self, code: str | None) -> None:
+        super().__init__()
+        self.model = "fixed-stub"
+        self.code = code
+
+    def complete(self, messages, **kwargs):
+        if self.code is None:
+            raise ConnectionError("link down")
+        return LLMResponse(
+            content=f"<CODE>{self.code}</CODE>",
+            prompt_tokens=1, completion_tokens=1, model=self.model,
+        )
+
+
+class TestFinalizeReason:
+    """``generate.finalize`` records why the fallback fired."""
+
+    @staticmethod
+    def _reason(generator, generation_setup):
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            report = generator.generate(*generation_setup)
+        finally:
+            set_tracer(previous)
+        (span,) = [s for s in tracer.to_dicts() if s["name"] == "generate.finalize"]
+        return report, span["attributes"]["reason"]
+
+    def test_clean_run_has_no_reason(self, generation_setup):
+        llm = MockLLM("gpt-4o", fault_injection=False)
+        report, reason = self._reason(CatDB(llm), generation_setup)
+        assert not report.fallback_used and reason == "none"
+
+    def test_no_code(self, generation_setup):
+        report, reason = self._reason(CatDB(_FixedLLM(None)), generation_setup)
+        assert report.degraded and report.fallback_used
+        assert reason == "no_code"
+
+    def test_validation_failure(self, generation_setup):
+        code = "def run_pipeline(train, test):\n    raise KeyError('gone')\n"
+        generator = CatDB(
+            _FixedLLM(code), max_fix_attempts=1, use_knowledge_base=False,
+            static_fix=False,
+        )
+        report, reason = self._reason(generator, generation_setup)
+        assert report.fallback_used
+        assert reason == f"validation:{report.errors[-1].error_type.name}"
+
+    def test_final_run_failure(self, generation_setup):
+        code = (
+            "def run_pipeline(train, test):\n"
+            "    if train.n_rows > 100:\n"
+            "        raise KeyError('full split only')\n"
+            "    return {'test_accuracy': 0.5}\n"
+        )
+        generator = CatDB(_FixedLLM(code), sample_rows=50)
+        report, reason = self._reason(generator, generation_setup)
+        assert report.fallback_used
+        assert reason == f"final_run:{report.errors[0].error_type.name}"
 
 
 class TestCatDBChainGenerator:
