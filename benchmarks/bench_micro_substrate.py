@@ -8,7 +8,7 @@ independently of the end-to-end replays.
 
 import numpy as np
 
-from repro.catalog.cache import ProfileCache, clear_default_cache
+from repro.catalog.cache import clear_default_cache
 from repro.catalog.embeddings import pairwise_similarities
 from repro.catalog.profiler import profile_table
 from repro.generation.executor import execute_pipeline_code
@@ -60,18 +60,7 @@ def test_micro_profiling_sequential_wide(benchmark):
 
     def run():
         clear_default_cache()  # time the cold path, not cache hits
-        return profile_table(table, target="y", task_type="binary", workers=1)
-
-    catalog = benchmark(run)
-    assert len(catalog) == 61
-
-
-def test_micro_profiling_parallel_wide(benchmark):
-    table = _substrate_table()
-
-    def run():
-        clear_default_cache()
-        return profile_table(table, target="y", task_type="binary", workers=4)
+        return profile_table(table, target="y", task_type="binary")
 
     catalog = benchmark(run)
     assert len(catalog) == 61
@@ -100,7 +89,7 @@ def test_micro_profiling_tracer_off(benchmark):
 
     def run():
         clear_default_cache()
-        return profile_table(table, target="y", task_type="binary", workers=1)
+        return profile_table(table, target="y", task_type="binary")
 
     catalog = benchmark(run)
     assert len(catalog) == 61
@@ -114,25 +103,12 @@ def test_micro_profiling_tracer_on(benchmark):
         clear_default_cache()
         previous = set_tracer(Tracer())
         try:
-            return profile_table(
-                table, target="y", task_type="binary", workers=1
-            )
+            return profile_table(table, target="y", task_type="binary")
         finally:
             set_tracer(previous)
 
     catalog = benchmark(run)
     assert len(catalog) == 61
-
-
-def test_micro_profiling_parallel_matches_sequential():
-    table = _substrate_table()
-    sequential = profile_table(
-        table, target="y", task_type="binary", workers=1, cache=ProfileCache()
-    )
-    parallel = profile_table(
-        table, target="y", task_type="binary", workers=4, cache=ProfileCache()
-    )
-    assert sequential.to_dict() == parallel.to_dict()
 
 
 def test_micro_pairwise_similarities(benchmark):
@@ -341,7 +317,7 @@ def test_micro_profiling_batch_tall(benchmark):
 
     def run():
         clear_default_cache()
-        return profile_table(table, target="y", task_type="binary", workers=1)
+        return profile_table(table, target="y", task_type="binary")
 
     catalog = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(catalog) == 4
@@ -365,7 +341,6 @@ def test_micro_profiling_streaming_tall(benchmark):
             target="y",
             task_type="binary",
             chunk_rows=4000,
-            workers=1,
         )
 
     catalog = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -397,7 +372,7 @@ def test_micro_profiling_streaming_memory(tmp_path):
 
     clear_default_cache()
     tracemalloc.start()
-    profile_table(read_csv(path), target="y", task_type="binary", workers=1)
+    profile_table(read_csv(path), target="y", task_type="binary")
     _, batch_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
@@ -405,7 +380,7 @@ def test_micro_profiling_streaming_memory(tmp_path):
     tracemalloc.start()
     profile_table_streaming(
         str(path), target="y", task_type="binary",
-        chunk_rows=10_000, workers=1,
+        chunk_rows=10_000,
     )
     _, stream_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

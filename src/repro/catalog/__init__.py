@@ -13,7 +13,6 @@ from repro.catalog.cache import (
     get_default_cache,
 )
 from repro.catalog.catalog import ColumnProfile, DataCatalog, DatasetInfo
-from repro.catalog.executor import ProfilerExecutor, resolve_workers
 from repro.catalog.feature_types import FeatureType
 from repro.catalog.materialize import join_multi_table, materialize_refined
 from repro.catalog.profiler import profile_dataset, profile_table
@@ -37,11 +36,9 @@ __all__ = [
     "chunks_from_table",
     "peak_rss_bytes",
     "ProfileCache",
-    "ProfilerExecutor",
     "clear_default_cache",
     "column_fingerprint",
     "get_default_cache",
-    "resolve_workers",
     "RefinementResult",
     "refine_catalog",
 ]

@@ -121,8 +121,8 @@ def encode_object_values(values: list) -> bytes:
 class ProfileCache:
     """LRU cache of per-column embeddings and value-hash sets.
 
-    Thread-safe: profiling fans columns out over a worker pool, and all
-    workers funnel through one cache instance.
+    Thread-safe: experiment-grid workers profile concurrently, and all
+    of them funnel through the one process-wide instance.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:

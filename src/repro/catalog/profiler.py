@@ -6,9 +6,9 @@ embeddings-derived inclusion dependencies / similarities, the correlation
 to the target, and a value sample of size ``tau_1`` (all unique values for
 categorical columns, per the paper).
 
-Columns are profiled on a :class:`ProfilerExecutor` worker pool
-(``workers=N``); per-column RNGs are spawned from one ``SeedSequence`` so
-parallel and sequential runs produce bit-identical catalogs.  Embeddings
+Columns are profiled one after another; each column's sampling RNG is
+spawned from one ``SeedSequence`` keyed by the column's position, so a
+column's samples depend only on ``(seed, position)``.  Embeddings
 and value-hash sets flow through the content-fingerprint
 :class:`~repro.catalog.cache.ProfileCache`, so the similarity and
 inclusion passes (and any re-profiling during refinement) never recompute
@@ -28,7 +28,6 @@ from repro.catalog.embeddings import (
     find_inclusion_dependencies,
     pairwise_similarities,
 )
-from repro.catalog.executor import ProfilerExecutor, spawn_column_rngs
 from repro.catalog.feature_types import FeatureType, infer_feature_type_heuristic
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
@@ -38,6 +37,12 @@ from repro.table.table import Table
 __all__ = ["profile_table", "profile_dataset", "numeric_statistics"]
 
 DEFAULT_SAMPLES = 10
+
+
+def spawn_column_rngs(seed: int, n_columns: int) -> list[np.random.Generator]:
+    """One independent, deterministic RNG per column position."""
+    children = np.random.SeedSequence(seed).spawn(n_columns)
+    return [np.random.default_rng(child) for child in children]
 
 
 def numeric_statistics(column: Column) -> dict[str, float]:
@@ -130,35 +135,28 @@ def profile_table(
     description: str = "",
     seed: int = 0,
     with_dependencies: bool = True,
-    workers: int | None = None,
     cache: ProfileCache | None = None,
 ) -> DataCatalog:
     """Profile a single table into a :class:`DataCatalog` (Algorithm 1).
 
-    ``workers`` sizes the column-profiling worker pool (``None``/1 =
-    sequential, 0 = all cores); results are bit-identical across pool
-    sizes because each column's RNG is derived from ``(seed, position)``.
-    ``cache`` overrides the process-wide embedding/value-hash cache.
+    Each column's RNG is derived from ``(seed, position)``.  ``cache``
+    overrides the process-wide embedding/value-hash cache.
     """
     if target not in table:
         raise KeyError(f"target column {target!r} not in table")
-    executor = ProfilerExecutor(workers)
     tracer = get_tracer()
     metrics = get_metrics()
     with tracer.span(
         "profile.table", dataset=table.name, rows=table.n_rows,
-        cols=table.n_cols, workers=executor.workers,
+        cols=table.n_cols,
     ):
         names = table.column_names
         rngs = spawn_column_rngs(seed, len(names))
         with tracer.span("profile.columns"):
-            profiles = executor.starmap(
-                _profile_column,
-                [
-                    (table[name], table.n_rows, tau_1, rng)
-                    for name, rng in zip(names, rngs)
-                ],
-            )
+            profiles = [
+                _profile_column(table[name], table.n_rows, tau_1, rng)
+                for name, rng in zip(names, rngs)
+            ]
         if with_dependencies:
             cache_obj = cache if cache is not None else get_default_cache()
             hits_before = cache_obj.hits
@@ -167,8 +165,7 @@ def profile_table(
                 similarities = pairwise_similarities(table, cache=cache)
                 inclusion = find_inclusion_dependencies(table, cache=cache)
                 target_column = table[target]
-
-                def _attach(profile: ColumnProfile) -> ColumnProfile:
+                for profile in profiles:
                     profile.similarities = similarities.get(profile.name, [])
                     profile.inclusion_dependencies = inclusion.get(
                         profile.name, []
@@ -180,9 +177,6 @@ def profile_table(
                             ),
                             4,
                         )
-                    return profile
-
-                executor.map(_attach, profiles)
             metrics.inc(
                 "profile.cache.hits", cache_obj.hits - hits_before
             )
@@ -213,7 +207,6 @@ def profile_dataset(
     tau_1: int = DEFAULT_SAMPLES,
     seed: int = 0,
     description: str = "",
-    workers: int | None = None,
     cache: ProfileCache | None = None,
 ) -> DataCatalog:
     """Profile a (possibly multi-table) dataset.
@@ -238,6 +231,5 @@ def profile_dataset(
         n_tables=len(tables),
         seed=seed,
         description=description,
-        workers=workers,
         cache=cache,
     )

@@ -6,15 +6,14 @@ without ever holding the table in memory.  Chunks (from
 :func:`repro.table.io_csv.iter_csv_chunks`, or any iterable of
 :class:`~repro.table.io_csv.CsvChunk`) are summarized into per-column
 :class:`~repro.sketch.ColumnSketch` / :class:`~repro.sketch.PairSketch`
-deltas on the :class:`~repro.catalog.executor.ProfilerExecutor` worker
-pool, then folded in **canonical start-row order** (a reorder buffer
-absorbs out-of-order shards), so the result is bit-identical for a
-given ``(seed, chunk_rows)`` at any worker count and chunk arrival
-order.
+deltas one chunk at a time, and each summary is folded in **canonical
+start-row order** (a reorder buffer absorbs out-of-order shards), so the
+result is bit-identical for a given ``(seed, chunk_rows)`` at any chunk
+arrival order.
 
-Memory model: one *wave* of ``workers`` chunks is resident at a time,
-plus constant-size sketch state per column — O(workers × chunk_rows)
-cells, independent of file size.
+Memory model: exactly one chunk is resident at a time, plus
+constant-size sketch state per column — O(chunk_rows) cells, independent
+of file size.
 
 Exactness: while the stream fits the sketches' exact threshold the fold
 reconstructs real columns and delegates to the batch profiler, so small
@@ -27,7 +26,6 @@ seeded deterministic estimates (see ``docs/streaming_catalog.md``).
 from __future__ import annotations
 
 import os
-from itertools import islice
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -41,7 +39,6 @@ from repro.catalog.embeddings import (
     inclusions_from_hash_sets,
     similarities_from_vectors,
 )
-from repro.catalog.executor import ProfilerExecutor
 from repro.catalog.feature_types import FeatureType, infer_feature_type_from_stats
 from repro.catalog.profiler import DEFAULT_SAMPLES, profile_table
 from repro.obs.metrics import get_metrics
@@ -80,6 +77,8 @@ def chunks_from_table(
     table: Table, chunk_rows: int = DEFAULT_CHUNK_ROWS
 ) -> Iterator[CsvChunk]:
     """Adapt an in-memory :class:`Table` (e.g. one shard) into chunks."""
+    if chunk_rows < 1:
+        raise ValueError("chunk_rows must be >= 1")
     header = list(table.column_names)
     columns = [list(table[name]) for name in header]
     all_rows = [list(row) for row in zip(*columns)]
@@ -203,7 +202,7 @@ class _ColumnChunkArtifacts:
 
 
 class _ChunkSummary:
-    """Everything one worker extracts from one chunk."""
+    """Everything the profiler extracts from one chunk."""
 
     __slots__ = ("start_row", "n_rows", "sketches", "pairs", "view_bytes")
 
@@ -358,7 +357,6 @@ def profile_table_streaming(
     target: str,
     task_type: str,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    workers: int | None = None,
     tau_1: int = DEFAULT_SAMPLES,
     seed: int = 0,
     config: SketchConfig | None = None,
@@ -380,7 +378,6 @@ def profile_table_streaming(
     """
     if config is None:
         config = SketchConfig(seed=seed)
-    executor = ProfilerExecutor(workers)
     tracer = get_tracer()
     metrics = get_metrics()
     chunks, source_name, source_path = _resolve_chunks(
@@ -391,27 +388,16 @@ def profile_table_streaming(
     delimiter = delimiter or ","
     with tracer.span(
         "profile.streaming", dataset=table_name, chunk_rows=chunk_rows,
-        workers=executor.workers,
     ):
         fold: _StreamFold | None = None
-        wave = max(executor.workers, 1)
-        while True:
-            batch = list(islice(chunks, wave))
-            if not batch:
-                break
+        for chunk in chunks:
             if fold is None:
-                header = batch[0].header
+                header = chunk.header
                 if target not in header:
                     raise KeyError(f"target column {target!r} not in table")
                 fold = _StreamFold(config, header, header.index(target))
-            target_index = fold.target_index
-            summaries = executor.starmap(
-                _summarize_chunk,
-                [(chunk, config, target_index) for chunk in batch],
-            )
-            metrics.inc("profile.chunks", len(batch))
-            for summary in summaries:
-                fold.add(summary)
+            fold.add(_summarize_chunk(chunk, config, fold.target_index))
+            metrics.inc("profile.chunks")
         if fold is None:
             raise ValueError("source produced no chunks")
         if fold.pending_count:
@@ -436,7 +422,6 @@ def profile_table_streaming(
                 description=description,
                 seed=seed,
                 with_dependencies=with_dependencies,
-                workers=workers,
                 cache=cache,
             )
         return _assemble_catalog(

@@ -63,8 +63,7 @@ _EXPERIMENTS = {
 }
 
 # Experiments whose run() is a grid over the parallel scheduler and accepts
-# workers/resume/progress (fig9's own --profile-workers knob is unrelated:
-# it sizes the *profiling* pool, not the experiment grid).
+# workers/resume/progress.
 _GRID_EXPERIMENTS = frozenset({
     "table2", "table5", "table6", "table7", "table8",
     "fig11", "fig12", "fig13", "fig14",
@@ -124,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--rows", type=int, default=None,
                          help="override generated row count")
     profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--profile-workers", type=int, default=None,
-                         help="profiling worker-pool size "
-                              "(1 = sequential, 0 = all cores)")
     profile.add_argument("--streaming", action="store_true",
                          help="profile chunk-by-chunk with mergeable "
                               "sketches (constant memory)")
@@ -154,9 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run catalog refinement first")
     generate.add_argument("--rows", type=int, default=None)
     generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("--profile-workers", type=int, default=None,
-                          help="profiling worker-pool size "
-                               "(1 = sequential, 0 = all cores)")
     generate.add_argument("--show-code", action="store_true")
     _add_resilience_args(generate)
 
@@ -295,12 +288,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print("error: --target is required when profiling a CSV path",
               file=sys.stderr)
         return 2
-    chunk_rows = args.chunk_rows or DEFAULT_CHUNK_ROWS
+    chunk_rows = (
+        DEFAULT_CHUNK_ROWS if args.chunk_rows is None else args.chunk_rows
+    )
     traced = _begin_trace(args)
     with run_session(
         "profile", dataset=args.dataset,
         config={"rows": args.rows, "seed": args.seed,
-                "workers": args.profile_workers,
                 "streaming": bool(args.streaming or csv_source),
                 "chunk_rows": chunk_rows},
         force=traced,
@@ -313,7 +307,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 target=args.target,
                 task_type=args.task_type,
                 chunk_rows=chunk_rows,
-                workers=args.profile_workers,
                 seed=args.seed,
             )
         else:
@@ -323,9 +316,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             bundle = load_dataset(args.dataset, seed=args.seed, **overrides)
             catalog = bundle.profile(
                 seed=args.seed,
-                workers=args.profile_workers,
                 streaming=args.streaming,
-                chunk_rows=args.chunk_rows,
+                chunk_rows=chunk_rows,
             )
         if session is not None:
             session.outcome.update(n_columns=len(catalog))
@@ -363,7 +355,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         },
         force=traced,
     ) as session:
-        catalog = bundle.profile(seed=args.seed, workers=args.profile_workers)
+        catalog = bundle.profile(seed=args.seed)
         llm = LLM(args.llm, config={
             "seed": args.seed, "fault_rate": args.fault_rate,
             "max_retries": args.max_retries, "llm_timeout": args.llm_timeout,

@@ -77,7 +77,9 @@ class DatasetBundle:
             )
             from repro.table.io_csv import DEFAULT_CHUNK_ROWS
 
-            rows_per_chunk = chunk_rows or DEFAULT_CHUNK_ROWS
+            rows_per_chunk = (
+                DEFAULT_CHUNK_ROWS if chunk_rows is None else chunk_rows
+            )
             table = self.unified
             return profile_table_streaming(
                 chunks_from_table(table, rows_per_chunk),

@@ -12,7 +12,6 @@ at any worker count.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -95,42 +94,14 @@ class PreparedDataset:
         }
 
 
-def _streaming_defaults() -> tuple[bool, int | None]:
-    """Env-configured streaming knobs for ``prepare:`` nodes.
-
-    ``REPRO_PROFILE_STREAMING=1`` switches every experiment's profiling
-    step to the sketch-based streaming path; ``REPRO_PROFILE_CHUNK_ROWS``
-    overrides the chunk size.  Same seed + same chunk size produce an
-    identical catalog at any worker count, so flipping these is safe for
-    ledger-resumed grids.
-    """
-    streaming = os.environ.get("REPRO_PROFILE_STREAMING", "").strip().lower()
-    chunk_env = os.environ.get("REPRO_PROFILE_CHUNK_ROWS", "").strip()
-    chunk_rows = int(chunk_env) if chunk_env else None
-    return streaming in {"1", "true", "yes", "on"}, chunk_rows
-
-
 def prepare_dataset(
     name: str,
     seed: int = 0,
     quick: bool = True,
     test_size: float = 0.3,
-    streaming: bool | None = None,
-    chunk_rows: int | None = None,
     **overrides: Any,
 ) -> PreparedDataset:
-    """Load, 70/30-split, and profile one dataset.
-
-    ``streaming``/``chunk_rows`` default from ``REPRO_PROFILE_STREAMING``
-    and ``REPRO_PROFILE_CHUNK_ROWS`` so grid drivers inherit the
-    streaming profiler without threading new parameters through every
-    ``prepare:`` node.
-    """
-    env_streaming, env_chunk_rows = _streaming_defaults()
-    if streaming is None:
-        streaming = env_streaming
-    if chunk_rows is None:
-        chunk_rows = env_chunk_rows
+    """Load, 70/30-split, and profile one dataset."""
     if quick and name in _QUICK_SIZES and "n" not in overrides:
         overrides["n"] = _QUICK_SIZES[name]
     bundle = load_dataset(name, seed=seed, **overrides)
@@ -144,9 +115,7 @@ def prepare_dataset(
         train, test = train_test_split(
             unified, test_size=test_size, random_state=seed, stratify=labels
         )
-    catalog = bundle.profile(
-        seed=seed, streaming=streaming, chunk_rows=chunk_rows
-    )
+    catalog = bundle.profile(seed=seed)
     return PreparedDataset(bundle=bundle, train=train, test=test, catalog=catalog)
 
 

@@ -48,7 +48,6 @@ def run(
     datasets: list[str] | None = None,
     quick: bool = True,
     seed: int = 0,
-    workers: int | None = None,
 ) -> Fig9Result:
     names = datasets if datasets is not None else list(DATASET_SPECS)
     result = Fig9Result()
@@ -59,7 +58,7 @@ def run(
         bundle = load_dataset(name, seed=seed, **overrides)
         unified = bundle.unified  # materialize joins before timing profiling
         start = time.perf_counter()
-        catalog = bundle.profile(seed=seed, workers=workers)
+        catalog = bundle.profile(seed=seed)
         elapsed = time.perf_counter() - start
         types: dict[str, int] = {}
         for profile in catalog.profiles():

@@ -3,8 +3,8 @@
 Metric keys follow a Prometheus-flavoured convention:
 ``name`` or ``name{label=value,...}`` with labels sorted, so snapshots
 are stable dictionaries that diff cleanly between two runs.  All updates
-take one lock, which keeps counters exact under the profiling worker
-pool; the registry used when observability is off is :data:`NULL_METRICS`
+take one lock, which keeps counters exact under concurrent experiment
+grid workers; the registry used when observability is off is :data:`NULL_METRICS`
 whose methods are no-ops.
 """
 

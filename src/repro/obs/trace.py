@@ -2,9 +2,9 @@
 
 A :class:`Tracer` hands out ``span("name", **attrs)`` context managers.
 Spans nest through a per-thread stack, so the tree mirrors the call
-structure; worker threads (the :class:`~repro.catalog.executor.\
-ProfilerExecutor` pool) inherit the submitting thread's current span via
-:meth:`Tracer.attach`, so fanned-out work attaches to the right parent.
+structure; worker threads (the experiment scheduler's pool) inherit the
+submitting thread's current span via :meth:`Tracer.attach`, so
+fanned-out work attaches to the right parent.
 
 The default tracer is :data:`NULL_TRACER`, whose ``span()`` returns one
 shared no-op context manager — instrumented code paths pay a dict-build
@@ -222,7 +222,7 @@ NULL_TRACER = NullTracer()
 # threads and context-local under ``contextvars.copy_context()``, so
 # nested reuse within one run still works while parallel runs stay
 # disjoint.  Worker pools that should *inherit* the submitting thread's
-# tracer propagate the context explicitly (see ProfilerExecutor).
+# tracer propagate the context explicitly (see the experiment scheduler).
 _active_tracer: contextvars.ContextVar[Tracer] = contextvars.ContextVar(
     "repro_active_tracer", default=NULL_TRACER
 )

@@ -7,13 +7,12 @@ every ``run_catdb`` / ``run_llm_baseline`` / ``run_automl`` cell is a
 fan-out *cell* node depending on them.  The scheduler
 (:mod:`repro.runner.scheduler`) executes the DAG on a worker pool.
 
-Determinism is by construction, the same discipline as the profiling
-substrate's :class:`~repro.catalog.executor.ProfilerExecutor`: a job's
-work may depend only on its declared inputs — its dependency results,
-its closed-over config, and its own seeded RNG (:func:`job_rng`, spawned
-from a :class:`numpy.random.SeedSequence` keyed by the job's id and
-seed, never by scheduling order) — so ``workers=1`` and ``workers=N``
-produce bit-identical results.
+Determinism is by construction: a job's work may depend only on its
+declared inputs — its dependency results, its closed-over config, and its
+own seeded RNG (:func:`job_rng`, spawned from a
+:class:`numpy.random.SeedSequence` keyed by the job's id and seed, never
+by scheduling order) — so ``workers=1`` and ``workers=N`` produce
+bit-identical results.
 
 Cell jobs carry a ``config`` dict; its :func:`config_fingerprint` keys
 the run-ledger record the scheduler appends per cell, which is what

@@ -51,8 +51,7 @@ def resolve_experiment_workers(workers: int | None) -> int:
     """Normalize the scheduler's ``workers`` knob (>= 1).
 
     ``None`` consults ``REPRO_EXPERIMENT_WORKERS`` and falls back to 1
-    (sequential); ``0`` or negative means "use all cores" — the same
-    contract as the profiling substrate's ``REPRO_PROFILE_WORKERS``.
+    (sequential); ``0`` or negative means "use all cores".
     """
     if workers is None:
         env = os.environ.get(_WORKERS_ENV, "").strip()

@@ -9,7 +9,7 @@ folded via Chan's parallel update of Welford's recurrence:
 
 The merge is associative up to floating-point rounding; the streaming
 profiler folds chunks in canonical (start-row) order so the result is
-*bit*-identical at any worker count and chunk arrival order.  Exactness
+*bit*-identical at any chunk arrival order.  Exactness
 versus the batch path (which calls ``values.mean()`` on the full array)
 holds whenever the stream fits the exact row buffer — the profiler then
 recomputes numpy statistics from the buffer instead of this sketch, so

@@ -14,7 +14,7 @@ is only known once the stream ends:
 
 All four merges are associative; the streaming profiler folds them in
 canonical chunk order, so correlations are deterministic for a given
-``(seed, chunk_rows)`` at any worker count.  Category/cell caps make the
+``(seed, chunk_rows)`` at any chunk arrival order.  Category/cell caps make the
 summaries constant-size; overflow prunes lowest-count cells (contingency)
 or latest-first-seen groups (category moments) and flags the estimate
 approximate.

@@ -1,6 +1,6 @@
 """Tests for the observability subsystem: tracer, metrics, ledger, sessions.
 
-Covers span nesting (including under ProfilerExecutor thread workers),
+Covers span nesting (including worker threads attached to a parent),
 metrics counter atomicity, ledger round-trips (write -> list -> show ->
 diff), the no-op tracer's overhead bound, and the traced CLI path end to
 end.
@@ -126,6 +126,25 @@ class TestSpans:
         assert fn(4) == 8  # no new span, no attrs_fn evaluation errors
         assert len(tracer.spans) == 1
 
+    def test_profile_table_column_spans_parent_correctly(self, tracer):
+        """Every per-column span is a child of the one profile.columns
+        span."""
+        n = 200
+        data = {f"c{i}": list(range(n)) for i in range(6)}
+        data["label"] = ["a", "b"] * (n // 2)
+        table = Table.from_dict(data, name="columns")
+        profile_table(table, target="label", task_type="binary")
+
+        by_name: dict[str, list] = {}
+        for span in tracer.spans:
+            by_name.setdefault(span.name, []).append(span)
+        (columns_span,) = by_name["profile.columns"]
+        column_spans = by_name["profile.column"]
+        assert len(column_spans) == len(data)
+        assert all(
+            s.parent_id == columns_span.span_id for s in column_spans
+        )
+
 
 class TestThreadedSpans:
     def test_attach_roots_worker_spans_under_parent(self, tracer):
@@ -147,25 +166,6 @@ class TestThreadedSpans:
         items = [s for s in tracer.spans if s.name == "item"]
         assert len(items) == 4
         assert all(s.parent_id == parent.span_id for s in items)
-
-    def test_profile_table_worker_spans_parent_correctly(self, tracer):
-        """ProfilerExecutor workers attach per-column spans to the
-        submitting thread's profile.columns span."""
-        n = 200
-        data = {f"c{i}": list(range(n)) for i in range(6)}
-        data["label"] = ["a", "b"] * (n // 2)
-        table = Table.from_dict(data, name="threaded")
-        profile_table(table, target="label", task_type="binary", workers=4)
-
-        by_name: dict[str, list] = {}
-        for span in tracer.spans:
-            by_name.setdefault(span.name, []).append(span)
-        columns_span = by_name["profile.columns"][0]
-        column_spans = by_name["profile.column"]
-        assert len(column_spans) == len(data)
-        assert all(
-            s.parent_id == columns_span.span_id for s in column_spans
-        )
 
 
 class TestMetrics:

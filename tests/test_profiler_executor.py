@@ -1,14 +1,11 @@
-"""Tests for the parallel, cached profiling substrate.
+"""Tests for the cached profiling substrate.
 
-The load-bearing guarantee: ``profile_table(workers=N)`` is bit-identical
-to ``profile_table(workers=1)`` for any N, because per-column RNGs are
-spawned from ``(seed, column position)`` rather than shared sequentially.
+Per-column RNGs are spawned from ``(seed, column position)``, and
+embeddings and value-hash sets are memoized by column content.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.catalog.cache import (
     ProfileCache,
@@ -21,8 +18,7 @@ from repro.catalog.embeddings import (
     pairwise_similarities,
     similarity_matrix,
 )
-from repro.catalog.executor import ProfilerExecutor, resolve_workers, spawn_column_rngs
-from repro.catalog.profiler import profile_dataset, profile_table
+from repro.catalog.profiler import profile_table, spawn_column_rngs
 from repro.table.column import Column
 from repro.table.table import Table
 
@@ -47,41 +43,6 @@ def _random_table(rng: np.random.Generator, n_rows: int, n_cols: int) -> Table:
 
 
 class TestParallelDeterminism:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        n_rows=st.integers(min_value=5, max_value=40),
-        n_cols=st.integers(min_value=1, max_value=6),
-        profile_seed=st.integers(min_value=0, max_value=100),
-    )
-    def test_workers_4_equals_workers_1(self, seed, n_rows, n_cols, profile_seed):
-        table = _random_table(np.random.default_rng(seed), n_rows, n_cols)
-        sequential = profile_table(
-            table, target="y", task_type="binary",
-            seed=profile_seed, workers=1, cache=ProfileCache(),
-        )
-        parallel = profile_table(
-            table, target="y", task_type="binary",
-            seed=profile_seed, workers=4, cache=ProfileCache(),
-        )
-        assert sequential.to_dict() == parallel.to_dict()
-
-    def test_workers_all_cores(self):
-        table = _random_table(np.random.default_rng(3), 30, 5)
-        sequential = profile_table(table, target="y", task_type="binary", workers=1)
-        all_cores = profile_table(table, target="y", task_type="binary", workers=0)
-        assert sequential.to_dict() == all_cores.to_dict()
-
-    def test_profile_dataset_workers_passthrough(self):
-        fact = Table.from_dict({"k": [1, 2, 1], "y": ["a", "b", "a"]}, name="fact")
-        dim = Table.from_dict({"k": [1, 2], "v": [10.0, 20.0]}, name="dim")
-        kwargs = dict(
-            target="y", task_type="binary", join_plan=[("fact", "dim", "k")]
-        )
-        sequential = profile_dataset([fact, dim], workers=1, **kwargs)
-        parallel = profile_dataset([fact, dim], workers=4, **kwargs)
-        assert sequential.to_dict() == parallel.to_dict()
-
     def test_spawned_rngs_independent_of_position_count(self):
         # each column's stream depends only on (seed, position)
         a = spawn_column_rngs(7, 3)
@@ -89,37 +50,27 @@ class TestParallelDeterminism:
         for rng_a, rng_b in zip(a, b):
             assert rng_a.integers(0, 1 << 30) == rng_b.integers(0, 1 << 30)
 
-
-class TestProfilerExecutor:
-    def test_sequential_by_default(self):
-        assert ProfilerExecutor(None).workers == 1
-        assert not ProfilerExecutor(None).is_parallel
-
-    def test_map_preserves_order(self):
-        result = ProfilerExecutor(4).map(lambda x: x * x, range(50))
-        assert result == [x * x for x in range(50)]
-
-    def test_starmap(self):
-        result = ProfilerExecutor(2).starmap(lambda a, b: a + b, [(1, 2), (3, 4)])
-        assert result == [3, 7]
-
-    def test_worker_exception_propagates(self):
-        def boom(x):
-            raise ValueError("boom")
-
-        with pytest.raises(ValueError):
-            ProfilerExecutor(4).map(boom, range(8))
-
-    def test_resolve_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
-        assert resolve_workers(1) == 1
-        assert resolve_workers(6) == 6
-        assert resolve_workers(0) >= 1
-        monkeypatch.setenv("REPRO_PROFILE_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        monkeypatch.setenv("REPRO_PROFILE_WORKERS", "junk")
-        assert resolve_workers(None) == 1
+    def test_appended_column_leaves_earlier_samples_unchanged(self):
+        rng = np.random.default_rng(5)
+        data = {
+            "a": rng.normal(size=60).tolist(),
+            "b": rng.choice(["red", "green", "blue"], size=60).tolist(),
+            "c": rng.normal(size=60).tolist(),
+            "y": rng.choice(["p", "n"], size=60).tolist(),
+        }
+        base = profile_table(
+            Table.from_dict(data, name="t"), target="y", task_type="binary",
+            seed=11, cache=ProfileCache(),
+        )
+        data["extra"] = rng.normal(size=60).tolist()
+        grown = profile_table(
+            Table.from_dict(data, name="t"), target="y", task_type="binary",
+            seed=11, cache=ProfileCache(),
+        )
+        for profile in base.profiles():
+            assert grown[profile.name].samples == profile.samples
+        # the sampled (non-categorical) columns really drew from their RNG
+        assert len(base["a"].samples) == 10 < 60
 
 
 class TestProfileCache:
@@ -253,22 +204,3 @@ class TestVectorizedSimilarities:
         assert cached == uncached
         assert "pk" in cached["fk"]
 
-
-class TestCliWorkersFlag:
-    def test_profile_workers_flag_parsed(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["profile", "wifi", "--profile-workers", "4"]
-        )
-        assert args.profile_workers == 4
-        args = build_parser().parse_args(
-            ["generate", "wifi", "--profile-workers", "2"]
-        )
-        assert args.profile_workers == 2
-
-    def test_profile_workers_defaults_to_none(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["profile", "wifi"])
-        assert args.profile_workers is None

@@ -228,8 +228,8 @@ class TestColumnSketch:
 
     def test_fold_replay_bit_identical(self):
         # Same chunk boundaries, summaries *produced* in any order,
-        # folded in ascending row order (what the stream fold does at
-        # every worker count) -> bit-identical canonical state.
+        # folded in ascending row order (what the stream fold does for
+        # any arrival order) -> bit-identical canonical state.
         rng = np.random.default_rng(29)
         values = [
             None if rng.random() < 0.05 else f"{rng.normal(10, 3):.4f}"

@@ -3,9 +3,9 @@
 The contracts under test (see ``docs/streaming_catalog.md``):
 
 - small tables (within the sketch exact threshold) profile
-  *bit-identically* to the batch profiler, at any worker count;
+  *bit-identically* to the batch profiler;
 - for fixed ``(seed, chunk_rows)`` the streamed catalog is identical at
-  any worker count and any chunk arrival order;
+  any chunk arrival order;
 - incremental fingerprints equal the batch ``column_fingerprint``;
 - CSV chunking is quoted-newline-safe, BOM-safe, and constant-width.
 """
@@ -57,15 +57,13 @@ class TestExactParity:
         )
         assert _catalog_json(streamed) == _catalog_json(batch)
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_small_table_any_worker_count(self, wide_table, workers):
+    def test_small_table_even_chunks_bit_identical(self, wide_table):
         batch = profile_table(wide_table, target="label", task_type="binary")
         streamed = profile_table_streaming(
             chunks_from_table(wide_table, 50),
             target="label",
             task_type="binary",
             chunk_rows=50,
-            workers=workers,
             name=wide_table.name,
         )
         assert _catalog_json(streamed) == _catalog_json(batch)
@@ -100,21 +98,6 @@ def big_table() -> Table:
 
 
 class TestDegradedDeterminism:
-    def test_worker_count_invariant(self, big_table):
-        outputs = [
-            _catalog_json(
-                profile_table_streaming(
-                    chunks_from_table(big_table, 2000),
-                    target="label",
-                    task_type="binary",
-                    chunk_rows=2000,
-                    workers=workers,
-                )
-            )
-            for workers in (1, 2, 4)
-        ]
-        assert outputs[0] == outputs[1] == outputs[2]
-
     def test_chunk_arrival_order_invariant(self, big_table):
         chunks = list(chunks_from_table(big_table, 2000))
         shuffled = [chunks[i] for i in [4, 0, 5, 2, 1, 3]]
@@ -290,6 +273,20 @@ class TestStreamingErrors:
                 chunk_rows=64,
             )
 
+    @pytest.mark.parametrize("chunk_rows", [0, -3])
+    def test_non_positive_chunk_rows_rejected(self, wide_table, chunk_rows):
+        from repro.cli import main
+        from repro.datasets.registry import load_dataset
+
+        with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
+            list(chunks_from_table(wide_table, chunk_rows))
+        bundle = load_dataset("cmc", seed=0, n=150)
+        with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
+            bundle.profile(streaming=True, chunk_rows=chunk_rows)
+        with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
+            main(["profile", "cmc", "--rows", "150", "--streaming",
+                  "--chunk-rows", str(chunk_rows)])
+
     def test_empty_source_raises(self):
         with pytest.raises(ValueError):
             profile_table_streaming(
@@ -305,14 +302,3 @@ class TestBundleAndPrepareWiring:
         batch = bundle.profile(seed=0)
         streamed = bundle.profile(seed=0, streaming=True, chunk_rows=64)
         assert _catalog_json(streamed) == _catalog_json(batch)
-
-    def test_prepare_dataset_env_gate(self, monkeypatch):
-        from repro.experiments.common import prepare_dataset
-
-        monkeypatch.setenv("REPRO_PROFILE_STREAMING", "1")
-        monkeypatch.setenv("REPRO_PROFILE_CHUNK_ROWS", "64")
-        streamed = prepare_dataset("cmc", seed=0, n=150)
-        monkeypatch.delenv("REPRO_PROFILE_STREAMING")
-        monkeypatch.delenv("REPRO_PROFILE_CHUNK_ROWS")
-        batch = prepare_dataset("cmc", seed=0, n=150)
-        assert _catalog_json(streamed.catalog) == _catalog_json(batch.catalog)

@@ -4,7 +4,7 @@ The columnar rebuild of ``repro.table`` must be observationally
 identical to the per-row seed semantics: same inferred kinds, same
 coerced cells, same first-seen ``unique()`` order, same
 ``value_counts()`` tie-breaks, same content fingerprints — for any
-chunking of the input and any profiler worker count.  These tests pin
+chunking of the input, with a cold or a warm profile cache.  These tests pin
 that contract against an embedded per-row reference implementation
 built from the same coercion primitives (``_infer_kind`` /
 ``_format_value`` / ``_to_bool``) the batch path keeps.
@@ -253,20 +253,20 @@ def _sort_key(kind):
     return lambda v: v
 
 
-# -- profiling parity across worker counts --------------------------------------
+# -- profiling parity across cache states ---------------------------------------
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_profile_parity_across_workers(workers):
+def test_profile_parity_cold_and_warm_cache():
     rng = random.Random(11)
     table = dirty_table(rng, 60, n_cols=4)
     table.name = "parity"
-    base = profile_table(
-        table, target="c0", task_type="binary", seed=3,
-        workers=1, cache=ProfileCache(),
+    cache = ProfileCache()
+    cold = profile_table(
+        table, target="c0", task_type="binary", seed=3, cache=cache,
     )
-    got = profile_table(
-        table, target="c0", task_type="binary", seed=3,
-        workers=workers, cache=ProfileCache(),
+    hits = cache.hits
+    warm = profile_table(
+        table, target="c0", task_type="binary", seed=3, cache=cache,
     )
-    assert got.to_dict() == base.to_dict()
+    assert cache.hits > hits
+    assert warm.to_dict() == cold.to_dict()
