@@ -187,7 +187,7 @@ def test_micro_llm_roundtrip_resilient(benchmark):
     """The same round-trip through the ResilientLLM wrapper (no faults).
 
     Compare against ``test_micro_llm_roundtrip``: the happy-path cost of
-    the retry/deadline/breaker machinery should be negligible next to
+    the retry/deadline machinery should be negligible next to
     the completion itself.
     """
     table = _wide_table()

@@ -35,7 +35,7 @@ errors are expensive) as a multi-pass AST analyzer:
   randomness, wall-clock reads, lock re-entry, swallowed
   ``BaseException``, unbounded blocking waits);
 - :mod:`repro.analysis.engine` — profiles, :func:`analyze_source`,
-  and the parallel :func:`lint_paths` driver behind ``repro lint``.
+  and :func:`lint_paths`, the batch entry point behind ``repro lint``.
 
 Error-severity findings map onto the 23-type
 :class:`~repro.generation.errors.PipelineError` taxonomy so the repair

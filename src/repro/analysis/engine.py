@@ -1,4 +1,4 @@
-"""Analysis driver: profiles, reports, and the parallel lint front end.
+"""Analysis engine: profiles, reports, and the lint front end.
 
 :func:`analyze_source` is the single entry point the generation stack
 uses — parse once, classify syntax errors onto the SE taxonomy, run the
@@ -7,15 +7,13 @@ whose error findings convert directly into
 :class:`~repro.generation.errors.PipelineError` objects the repair loop
 already understands.
 
-:func:`lint_paths` is the batch driver behind ``repro lint``: it fans
-file analysis over a thread pool and returns reports keyed and ordered
-by path, so the verdict is identical for any worker count.
+:func:`lint_paths` is the batch entry point behind ``repro lint``: it
+analyzes each file in turn and returns reports ordered by path.
 """
 
 from __future__ import annotations
 
 import ast
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -199,24 +197,12 @@ def lint_paths(
     paths: Sequence[str | Path],
     profile: str = "repo",
     config: RuleConfig | None = None,
-    workers: int = 1,
 ) -> list[FileReport]:
-    """Analyze every ``.py`` file under ``paths``, in parallel.
-
-    Reports come back sorted by path whatever the worker count or
-    completion order — the lint verdict is a pure function of the file
-    contents (pinned by the workers-invariance property test).
-    """
-    files = _collect_py_files(paths)
-    if not files:
-        return []
-    if workers <= 1:
-        return [analyze_file(f, profile=profile, config=config) for f in files]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(
-            lambda f: analyze_file(f, profile=profile, config=config), files
-        ))
-    return sorted(reports, key=lambda r: r.path)
+    """Analyze every ``.py`` file under ``paths``, sorted by path."""
+    return [
+        analyze_file(f, profile=profile, config=config)
+        for f in _collect_py_files(paths)
+    ]
 
 
 def render_findings(reports: Iterable[FileReport]) -> str:

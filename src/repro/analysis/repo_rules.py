@@ -9,9 +9,9 @@ These encode repo invariants that unit tests cannot cheaply pin:
   ``datetime.now()`` differ across runs (monotonic timers are fine)
 - ``lock-reentry``      — a method holding a non-reentrant lock must not
   call another method of the same object that re-acquires the same lock.
-  This is exactly the ``CircuitBreaker.failure_rate`` deadlock class
-  fixed in PR 3: ``before_call`` held ``self._lock`` and called
-  ``failure_rate()``, which blocked acquiring it again.
+  The ``BUGGY_BREAKER`` fixture in ``tests/test_static_analysis.py``
+  shows the shape: ``before_call`` holds ``self._lock`` and calls
+  ``failure_rate()``, which blocks acquiring it again.
 - ``swallowed-base-exception`` — an ``except BaseException:`` (or bare
   ``except:``) handler that neither re-raises nor uses the bound
   exception eats ``KeyboardInterrupt``/``SystemExit`` and the pool's

@@ -37,8 +37,9 @@ ledger, ``--progress`` for a live cell counter; see
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro.analysis.engine import PROFILES
 from repro.execpool.config import EXEC_MODES, MEMORY_ENV, MODE_ENV
@@ -70,6 +71,28 @@ _GRID_EXPERIMENTS = frozenset({
 })
 
 
+def _checked(
+    convert: Callable[[str], Any], ok: Callable[[Any], bool], expected: str
+) -> Callable[[str], Any]:
+    """An argparse ``type=`` that converts, then range-checks, a flag value."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+
+    return parse
+
+
+_positive_seconds = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_retry_count = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_rate = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catdb-repro",
@@ -89,17 +112,19 @@ def build_parser() -> argparse.ArgumentParser:
         fault_rate_default: float = 0.0,
         exec_timeout_default: float | None = None,
     ) -> None:
-        command.add_argument("--max-retries", type=int, default=None,
+        command.add_argument("--max-retries", type=_retry_count,
+                             default=None,
                              help="transport retries after the first "
                                   "attempt (default 3 once resilience "
                                   "is active)")
-        command.add_argument("--llm-timeout", type=float, default=None,
+        command.add_argument("--llm-timeout", type=_positive_seconds,
+                             default=None,
                              help="per-LLM-call deadline in seconds")
-        command.add_argument("--exec-timeout", type=float,
+        command.add_argument("--exec-timeout", type=_positive_seconds,
                              default=exec_timeout_default,
                              help="wall-clock budget per generated-"
                                   "pipeline execution in seconds")
-        command.add_argument("--fault-rate", type=float,
+        command.add_argument("--fault-rate", type=_rate,
                              default=fault_rate_default,
                              help="transient-fault injection rate "
                                   "(FlakyLLM; 0 disables)")
@@ -232,9 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                       dest="output_format", help="findings output format")
     lint.add_argument("--strict", action="store_true",
                       help="fail on warnings too, not just errors")
-    lint.add_argument("--workers", type=int, default=1,
-                      help="analysis thread-pool size (verdict is "
-                           "worker-count invariant)")
     lint.add_argument("--disable", action="append", default=[],
                       metavar="RULE_ID",
                       help="disable a rule by id (repeatable)")
@@ -530,9 +552,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 path.write_text(result.code, encoding="utf-8")
                 fixed_files += 1
                 n_fixes += len(result.applied)
-    reports = lint_paths(
-        args.paths, profile=args.profile, config=config, workers=args.workers
-    )
+    reports = lint_paths(args.paths, profile=args.profile, config=config)
     if not reports:
         print("no python files found", file=sys.stderr)
         return 2

@@ -8,10 +8,9 @@ object.  The knobs:
 - ``REPRO_EXEC_MODE``            — ``inproc`` (default) | ``pool``
 - ``REPRO_EXEC_MEMORY_MB``       — per-execution address-space soft
   limit applied inside pool workers (unset = unlimited)
-- ``REPRO_EXEC_POOL_SIZE``       — max warm workers (default: CPU count)
-- ``REPRO_EXEC_MAX_JOBS_PER_WORKER`` — recycle a worker after N jobs
-- ``REPRO_EXEC_KILL_GRACE``      — extra seconds past the wall-clock
-  budget before the parent SIGKILLs an unresponsive worker
+
+Pool sizing, recycling and kill grace are :class:`PoolConfig` fields set
+in code; they have no environment switch.
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ EXEC_MODES = ("inproc", "pool")
 
 MODE_ENV = "REPRO_EXEC_MODE"
 MEMORY_ENV = "REPRO_EXEC_MEMORY_MB"
-_POOL_SIZE_ENV = "REPRO_EXEC_POOL_SIZE"
-_MAX_JOBS_ENV = "REPRO_EXEC_MAX_JOBS_PER_WORKER"
-_KILL_GRACE_ENV = "REPRO_EXEC_KILL_GRACE"
 
 
 def resolve_exec_mode(mode: str | None = None) -> str:
@@ -64,26 +60,6 @@ def resolve_memory_mb(memory_mb: int | None = None) -> int | None:
     return memory_mb if memory_mb > 0 else None
 
 
-def _int_env(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-def _float_env(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
 @dataclass(frozen=True)
 class PoolConfig:
     """Sizing and containment knobs for one :class:`~repro.execpool.pool.\
@@ -103,9 +79,4 @@ ExecPool`."""
 
 def pool_config_from_env() -> PoolConfig:
     """The default pool configuration (the ``get_pool()`` singleton's)."""
-    return PoolConfig(
-        size=_int_env(_POOL_SIZE_ENV, 0),
-        memory_mb=resolve_memory_mb(None),
-        max_jobs_per_worker=max(1, _int_env(_MAX_JOBS_ENV, 64)),
-        kill_grace_seconds=max(0.1, _float_env(_KILL_GRACE_ENV, 1.0)),
-    )
+    return PoolConfig(memory_mb=resolve_memory_mb(None))

@@ -25,7 +25,6 @@ from repro.datasets.registry import DatasetBundle, load_dataset
 from repro.generation.generator import CatDB, CatDBChain, GenerationReport
 from repro.llm import build_client
 from repro.obs.session import configured_ledger_path, run_session, tracing_enabled
-from repro.resilience.breaker import CircuitBreaker
 from repro.runner import JobGraph, JobResult, Scheduler
 from repro.ml.model_selection import train_test_split
 from repro.table.table import Table
@@ -139,7 +138,6 @@ def run_catdb(
     exec_mode: str | None = None,
     exec_memory_mb: int | None = None,
     retry_base_delay: float = 0.05,
-    breaker: CircuitBreaker | None = None,
 ) -> GenerationReport:
     """Run CatDB (beta=1) or CatDB Chain (beta>1) on a prepared dataset.
 
@@ -149,17 +147,15 @@ def run_catdb(
     tokens went.
 
     The resilience knobs (``fault_rate``, ``max_retries``, ``llm_timeout``,
-    ``exec_timeout``, ``breaker``) assemble the
-    FlakyLLM/ResilientLLM transport stack and the executor's wall-clock
-    budget; ``exec_mode="pool"`` moves pipeline execution into isolated
-    subprocess workers (``exec_memory_mb`` caps each one's address
-    space).  All defaults leave the legacy bit-identical MockLLM path.
+    ``exec_timeout``) assemble the FlakyLLM/ResilientLLM transport stack
+    and the executor's wall-clock budget; ``exec_mode="pool"`` moves
+    pipeline execution into isolated subprocess workers
+    (``exec_memory_mb`` caps each one's address space).  All defaults leave the legacy bit-identical MockLLM path.
     """
     llm = build_client(
         llm_name, seed=seed, fault_injection=fault_injection,
         fault_rate=fault_rate, max_retries=max_retries,
         llm_timeout=llm_timeout, retry_base_delay=retry_base_delay,
-        breaker=breaker,
     )
     if beta <= 1:
         generator: CatDB = CatDB(

@@ -51,8 +51,8 @@ __all__ = ["GenerationReport", "CatDB", "CatDBChain"]
 _SAMPLE_ROWS = 250
 
 #: LLM-transport failures the generator absorbs by degrading gracefully
-#: instead of raising: resilience give-ups (retries exhausted, breaker
-#: open) plus raw transient/transport errors from an unwrapped client.
+#: instead of raising: resilience give-ups (retries exhausted) plus raw
+#: transient/transport errors from an unwrapped client.
 _DEGRADE_ERRORS = (ResilienceGiveUp, TransientError, ConnectionError, TimeoutError)
 
 
@@ -523,8 +523,8 @@ class CatDBChain(_GeneratorBase):
             # Figure 6 ordering: all preprocessing prompts, then all
             # feature-engineering prompts, then one model-selection prompt;
             # the code so far is appended to every prompt.  Once the
-            # transport gives up (retries exhausted / breaker open) the
-            # chain stops and the best code so far goes to finalization.
+            # transport gives up (retries exhausted) the chain stops and
+            # the best code so far goes to finalization.
             sections = [
                 (section, chunk_index)
                 for section in (SECTION_PREPROCESSING, SECTION_FE)

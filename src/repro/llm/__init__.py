@@ -27,7 +27,6 @@ from repro.llm.faults import FlakyLLM
 from repro.llm.mock import MockLLM
 from repro.llm.profiles import LLMProfile, get_profile, list_profiles
 from repro.llm.tokenizer import count_tokens
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
@@ -55,14 +54,13 @@ def build_client(
     llm_timeout: float | None = None,
     retry_base_delay: float = 0.05,
     slow_seconds: float = 0.05,
-    breaker: "CircuitBreaker | None" = None,
 ) -> LLMClient:
     """Assemble the offline LLM stack: MockLLM → FlakyLLM → ResilientLLM.
 
     With every resilience knob at its default the bare :class:`MockLLM`
     is returned, so legacy call paths stay bit-identical.  ``fault_rate``
     > 0 inserts the :class:`FlakyLLM` transient-fault injector; any of
-    ``fault_rate``/``max_retries``/``llm_timeout``/``breaker`` being set
+    ``fault_rate``/``max_retries``/``llm_timeout`` being set
     wraps the stack in :class:`ResilientLLM` (``max_retries`` counts
     retries *after* the first attempt; default 3).
     """
@@ -71,18 +69,11 @@ def build_client(
         client = FlakyLLM(
             client, fault_rate=fault_rate, seed=seed, slow_seconds=slow_seconds
         )
-    if (
-        fault_rate > 0
-        or max_retries is not None
-        or llm_timeout is not None
-        or breaker is not None
-    ):
+    if fault_rate > 0 or max_retries is not None or llm_timeout is not None:
         policy = RetryPolicy(
             max_attempts=(3 if max_retries is None else max_retries) + 1,
             base_delay=retry_base_delay,
             seed=seed,
         )
-        client = ResilientLLM(
-            client, policy=policy, breaker=breaker, timeout_seconds=llm_timeout
-        )
+        client = ResilientLLM(client, policy=policy, timeout_seconds=llm_timeout)
     return client

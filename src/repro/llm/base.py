@@ -2,10 +2,8 @@
 
 :class:`ResilientLLM` is the transport-resilience decorator every driver
 can opt into: it retries transient failures under a seeded
-:class:`~repro.resilience.retry.RetryPolicy`, enforces a per-call
-deadline, and routes every attempt through an optional
-:class:`~repro.resilience.breaker.CircuitBreaker` — see
-``docs/resilience.md`` for the exact semantics.
+:class:`~repro.resilience.retry.RetryPolicy` and enforces a per-call
+deadline — see ``docs/resilience.md`` for the exact semantics.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from typing import Callable, Sequence
 from repro.llm.tokenizer import count_tokens
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import (
     Deadline,
     ExecutionTimeout,
@@ -148,7 +145,7 @@ class LLMClient:
 
 
 class ResilientLLM(LLMClient):
-    """Retry + deadline + circuit-breaker decorator for any client.
+    """Retry + deadline decorator for any client.
 
     Wraps ``inner.complete`` so that transient failures (the
     :class:`~repro.resilience.errors.TransientError` family plus builtin
@@ -156,10 +153,9 @@ class ResilientLLM(LLMClient):
     seeded backoff.  When ``timeout_seconds`` is set, each attempt runs
     under a per-call deadline: SIGALRM-based interruption on a POSIX main
     thread, a post-hoc lateness check elsewhere.  On give-up the wrapper
-    raises :class:`~repro.resilience.errors.RetryExhausted` or
-    :class:`~repro.resilience.errors.BreakerOpen`; callers that must not
-    fail catch :class:`~repro.resilience.errors.ResilienceGiveUp` and
-    degrade (the generator's repair loop does exactly that).
+    raises :class:`~repro.resilience.errors.RetryExhausted`; callers that
+    must not fail catch :class:`~repro.resilience.errors.ResilienceGiveUp`
+    and degrade (the generator's repair loop does exactly that).
 
     Emits ``retry.attempts`` / ``retry.recoveries`` / ``retry.giveups``
     and ``llm.transient_errors{type=}`` counters plus ``retry.backoff``
@@ -170,14 +166,12 @@ class ResilientLLM(LLMClient):
         self,
         inner: LLMClient,
         policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
         timeout_seconds: float | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.inner = inner
         self.model = inner.model
         self.policy = policy if policy is not None else RetryPolicy()
-        self.breaker = breaker
         self.timeout_seconds = timeout_seconds
         self._sleep = sleep
         self._call_index = 0
@@ -231,7 +225,6 @@ class ResilientLLM(LLMClient):
                 response = retry_call(
                     lambda: self._attempt(messages),
                     self.policy,
-                    breaker=self.breaker,
                     sleep=self._sleep,
                     salt=(self.model, call_index),
                     on_transient=_note_transient,

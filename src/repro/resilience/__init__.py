@@ -1,4 +1,4 @@
-"""Resilience layer: retries, deadlines, and circuit breaking.
+"""Resilience layer: retries and deadlines.
 
 Separates orchestration robustness (how calls survive transient failure)
 from generation logic (what the calls do) — see ``docs/resilience.md``.
@@ -6,12 +6,6 @@ Everything here is deterministic under a seed: backoff jitter comes from
 stable hashes, and clocks are injectable for tests and soaks.
 """
 
-from repro.resilience.breaker import (
-    STATE_CLOSED,
-    STATE_HALF_OPEN,
-    STATE_OPEN,
-    CircuitBreaker,
-)
 from repro.resilience.deadline import (
     Deadline,
     ExecutionTimeout,
@@ -19,7 +13,6 @@ from repro.resilience.deadline import (
     signal_timeout_available,
 )
 from repro.resilience.errors import (
-    BreakerOpen,
     DeadlineExceeded,
     ResilienceError,
     ResilienceGiveUp,
@@ -34,10 +27,6 @@ from repro.resilience.retry import (
 )
 
 __all__ = [
-    "CircuitBreaker",
-    "STATE_CLOSED",
-    "STATE_HALF_OPEN",
-    "STATE_OPEN",
     "Deadline",
     "ExecutionTimeout",
     "run_with_timeout",
@@ -47,7 +36,6 @@ __all__ = [
     "DeadlineExceeded",
     "ResilienceGiveUp",
     "RetryExhausted",
-    "BreakerOpen",
     "RetryPolicy",
     "retry_call",
     "stable_jitter_point",

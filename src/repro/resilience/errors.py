@@ -2,7 +2,7 @@
 
 The hierarchy separates *transient* failures (a retry may succeed: rate
 limits, dropped connections, slow responses) from *give-up* outcomes (the
-policy decided to stop: retries exhausted, circuit breaker open).  Callers
+policy decided to stop: retries exhausted).  Callers
 that want graceful degradation catch :class:`ResilienceGiveUp`; transport
 wrappers raise :class:`TransientError` subclasses and let
 :func:`repro.resilience.retry.retry_call` absorb them.
@@ -16,7 +16,6 @@ __all__ = [
     "DeadlineExceeded",
     "ResilienceGiveUp",
     "RetryExhausted",
-    "BreakerOpen",
 ]
 
 
@@ -52,11 +51,3 @@ class RetryExhausted(ResilienceGiveUp):
         super().__init__(message)
         self.attempts = attempts
         self.last_error = last_error
-
-
-class BreakerOpen(ResilienceGiveUp):
-    """The circuit breaker is open; the call was rejected without trying."""
-
-    def __init__(self, message: str, retry_after_seconds: float = 0.0) -> None:
-        super().__init__(message)
-        self.retry_after_seconds = retry_after_seconds

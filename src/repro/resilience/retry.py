@@ -2,10 +2,9 @@
 
 :class:`RetryPolicy` is a frozen value object: how many attempts, how the
 backoff grows, which exceptions count as retryable.  :func:`retry_call`
-executes a callable under a policy, optionally guarded by a
-:class:`~repro.resilience.breaker.CircuitBreaker`, and emits through the
-observability layer (``retry.attempts`` / ``retry.recoveries`` /
-``retry.giveups`` counters, ``retry.backoff`` spans).
+executes a callable under a policy and emits through the observability
+layer (``retry.attempts`` / ``retry.recoveries`` / ``retry.giveups``
+counters, ``retry.backoff`` spans).
 
 Jitter is *deterministic*: it is derived from a stable hash of the policy
 seed plus the caller-supplied salt, never from wall-clock or a global RNG,
@@ -22,7 +21,7 @@ from typing import Any, Callable, TypeVar
 
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
-from repro.resilience.errors import BreakerOpen, RetryExhausted, TransientError
+from repro.resilience.errors import RetryExhausted, TransientError
 
 __all__ = ["RetryPolicy", "retry_call", "stable_jitter_point"]
 
@@ -87,18 +86,14 @@ def retry_call(
     fn: Callable[[], T],
     policy: RetryPolicy | None = None,
     *,
-    breaker: "Any | None" = None,
     sleep: Callable[[float], None] = time.sleep,
     salt: tuple[Any, ...] = (),
     on_transient: Callable[[BaseException], None] | None = None,
 ) -> T:
     """Run ``fn`` under ``policy``; raise :class:`RetryExhausted` on give-up.
 
-    ``breaker`` (a :class:`~repro.resilience.breaker.CircuitBreaker`) is
-    consulted before every attempt and informed of every outcome; an open
-    breaker raises :class:`~repro.resilience.errors.BreakerOpen` straight
-    through.  ``salt`` feeds the deterministic jitter so distinct call
-    sites schedule distinct (but reproducible) backoffs.  ``on_transient``
+    ``salt`` feeds the deterministic jitter so distinct call sites
+    schedule distinct (but reproducible) backoffs.  ``on_transient``
     observes each retryable failure (used for fault-type metrics).
     """
     policy = policy or RetryPolicy()
@@ -106,20 +101,14 @@ def retry_call(
     tracer = get_tracer()
     last_error: BaseException | None = None
     for attempt in range(policy.max_attempts):
-        if breaker is not None:
-            breaker.before_call()  # raises BreakerOpen when rejecting
         try:
             result = fn()
-        except BreakerOpen:
-            raise
         except BaseException as exc:  # noqa: BLE001 - classified right below
             if not policy.is_retryable(exc):
                 raise
             last_error = exc
             if on_transient is not None:
                 on_transient(exc)
-            if breaker is not None:
-                breaker.record_failure()
             metrics.inc("retry.attempts")
             if attempt + 1 >= policy.max_attempts:
                 break
@@ -132,8 +121,6 @@ def retry_call(
                 if delay > 0:
                     sleep(delay)
             continue
-        if breaker is not None:
-            breaker.record_success()
         if attempt > 0:
             metrics.inc("retry.recoveries")
         return result

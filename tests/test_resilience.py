@@ -1,5 +1,5 @@
 """Tests for the resilience layer: retry policy, deadlines, wall-clock
-budgets, circuit breaker, transient-fault injection, the ResilientLLM
+budgets, transient-fault injection, the ResilientLLM
 transport stack, executor timeouts, and graceful generator degradation."""
 
 import time
@@ -22,8 +22,6 @@ from repro.llm.mock import MockLLM
 from repro.ml.model_selection import train_test_split
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.resilience import (
-    BreakerOpen,
-    CircuitBreaker,
     Deadline,
     DeadlineExceeded,
     ExecutionTimeout,
@@ -36,7 +34,6 @@ from repro.resilience import (
     signal_timeout_available,
     stable_jitter_point,
 )
-from repro.resilience.breaker import STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN
 from repro.table.table import Table
 
 
@@ -188,39 +185,6 @@ class TestRetryCall:
                    on_transient=seen.append)
         assert len(seen) == 2
 
-    def test_open_breaker_rejects_without_calling_fn(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(window=4, min_calls=2, cooldown_seconds=10,
-                                 clock=clock)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == STATE_OPEN
-        calls = {"n": 0}
-
-        def fn():
-            calls["n"] += 1
-            return 1
-
-        with pytest.raises(BreakerOpen):
-            retry_call(fn, RetryPolicy(), breaker=breaker,
-                       sleep=lambda _s: None)
-        assert calls["n"] == 0
-
-    def test_breaker_records_outcomes(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(window=10, min_calls=5, clock=clock)
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise TransientError("blip")
-            return True
-
-        retry_call(flaky, RetryPolicy(), breaker=breaker,
-                   sleep=lambda _s: None)
-        assert breaker.failure_rate() == 0.5  # one failure, one success
-
 
 # ---------------------------------------------------------------------------
 # Deadline + run_with_timeout
@@ -289,114 +253,6 @@ class TestRunWithTimeout:
 
         with ThreadPoolExecutor(max_workers=1) as threads:
             assert threads.submit(probe).result(timeout=10.0) == ("x", "y")
-
-
-# ---------------------------------------------------------------------------
-# CircuitBreaker
-# ---------------------------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def _breaker(self, clock, **kwargs):
-        defaults = dict(failure_threshold=0.5, window=4, min_calls=4,
-                        cooldown_seconds=10.0, clock=clock)
-        defaults.update(kwargs)
-        return CircuitBreaker(**defaults)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0.0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(window=0)
-
-    def test_stays_closed_below_min_calls(self):
-        breaker = self._breaker(FakeClock())
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.state == STATE_CLOSED
-        breaker.before_call()  # admits
-
-    def test_opens_at_failure_threshold(self):
-        breaker = self._breaker(FakeClock())
-        breaker.record_success()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == STATE_CLOSED
-        breaker.record_failure()  # 2/4 = threshold
-        assert breaker.state == STATE_OPEN
-
-    def test_open_rejects_with_retry_after(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record_failure()
-        clock.advance(4.0)
-        with pytest.raises(BreakerOpen) as info:
-            breaker.before_call()
-        assert info.value.retry_after_seconds == pytest.approx(6.0)
-
-    def test_half_open_probe_quota(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock, half_open_max_calls=1)
-        for _ in range(4):
-            breaker.record_failure()
-        clock.advance(10.0)
-        breaker.before_call()  # first probe admitted
-        assert breaker.state == STATE_HALF_OPEN
-        with pytest.raises(BreakerOpen):
-            breaker.before_call()  # probe quota exhausted
-
-    def test_probe_success_closes_and_clears_window(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record_failure()
-        clock.advance(10.0)
-        breaker.before_call()
-        breaker.record_success()
-        assert breaker.state == STATE_CLOSED
-        assert breaker.failure_rate() == 0.0
-
-    def test_probe_failure_reopens(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record_failure()
-        clock.advance(10.0)
-        breaker.before_call()
-        breaker.record_failure()
-        assert breaker.state == STATE_OPEN
-        with pytest.raises(BreakerOpen):
-            breaker.before_call()  # new cooldown started
-
-    def test_reset(self):
-        breaker = self._breaker(FakeClock())
-        for _ in range(4):
-            breaker.record_failure()
-        breaker.reset()
-        assert breaker.state == STATE_CLOSED
-        assert breaker.failure_rate() == 0.0
-
-    def test_transitions_emit_metrics(self, metrics):
-        clock = FakeClock()
-        breaker = self._breaker(clock, name="t")
-        for _ in range(4):
-            breaker.record_failure()
-        with pytest.raises(BreakerOpen):
-            breaker.before_call()
-        clock.advance(10.0)
-        breaker.before_call()
-        breaker.record_success()
-        assert metrics.counter_value(
-            "breaker.transitions",
-            **{"from": "closed", "to": "open", "breaker": "t"}) == 1
-        assert metrics.counter_value(
-            "breaker.transitions",
-            **{"from": "open", "to": "half_open", "breaker": "t"}) == 1
-        assert metrics.counter_value(
-            "breaker.transitions",
-            **{"from": "half_open", "to": "closed", "breaker": "t"}) == 1
-        assert metrics.counter_value("breaker.rejections", breaker="t") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -539,21 +395,6 @@ class TestResilientLLM:
         assert resilient.usage is inner.usage
         assert resilient.usage.n_requests == 1
 
-    def test_breaker_opens_after_repeated_giveups(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=0.5, window=4, min_calls=4,
-                                 cooldown_seconds=60.0, clock=clock)
-        dead = _DeadClient()
-        resilient = ResilientLLM(dead, policy=self._policy(max_attempts=4),
-                                 breaker=breaker, sleep=lambda _s: None)
-        with pytest.raises(RetryExhausted):
-            resilient.complete("x")
-        assert breaker.state == STATE_OPEN
-        before = dead.attempts
-        with pytest.raises(BreakerOpen):
-            resilient.complete("y")
-        assert dead.attempts == before  # rejected before reaching transport
-
     @pytest.mark.skipif(not signal_timeout_available(),
                         reason="needs SIGALRM on the main thread")
     def test_deadline_interrupts_slow_call(self):
@@ -690,20 +531,6 @@ class TestGeneratorDegradation:
         assert metrics.counter_value(
             "generate.degraded", reason="RetryExhausted") == 1
 
-    def test_breaker_giveup_also_degrades(self, dataset):
-        train, test, catalog = dataset
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=0.5, window=2, min_calls=2,
-                                 cooldown_seconds=3600.0, clock=clock)
-        flaky = FlakyLLM(MockLLM("gpt-4o", seed=0, fault_injection=False),
-                         fault_rate=1.0, seed=0, sleep=lambda _s: None)
-        llm = ResilientLLM(flaky, policy=RetryPolicy(max_attempts=3,
-                                                     base_delay=0.0),
-                           breaker=breaker, sleep=lambda _s: None)
-        report = CatDB(llm).generate(train, test, catalog)
-        assert report.degraded
-        assert report.success
-
 
 class TestRepairBudgetAudit:
     """A repair budget of beta must never buy more than beta repair calls,
@@ -743,6 +570,48 @@ class TestRepairBudgetAudit:
                 assert inner.usage.n_requests >= report.cost.gamma
             if not report.degraded:
                 assert report.success
+
+
+# ---------------------------------------------------------------------------
+# CLI resilience flags: range-checked at parse time
+# ---------------------------------------------------------------------------
+
+
+_BAD_RESILIENCE_FLAGS = [
+    ("--llm-timeout", "-1"),
+    ("--llm-timeout", "0"),
+    ("--exec-timeout", "-1"),
+    ("--exec-timeout", "0"),
+    ("--max-retries", "-1"),
+    ("--fault-rate", "1.5"),
+    ("--fault-rate", "-0.1"),
+]
+
+
+@pytest.mark.parametrize("command", [["generate", "wifi"], ["soak"]],
+                         ids=["generate", "soak"])
+@pytest.mark.parametrize("flag,value", _BAD_RESILIENCE_FLAGS)
+def test_cli_rejects_out_of_range_resilience_flags(command, flag, value, capsys):
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args([*command, flag, value])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument {flag}" in err
+
+
+def test_cli_accepts_boundary_resilience_flags():
+    from repro.cli import build_parser
+
+    args = build_parser().parse_args([
+        "soak", "--max-retries", "0", "--fault-rate", "1",
+        "--llm-timeout", "0.5", "--exec-timeout", "2",
+    ])
+    assert (args.max_retries, args.fault_rate) == (0, 1.0)
+    assert (args.llm_timeout, args.exec_timeout) == (0.5, 2.0)
+    assert build_parser().parse_args(["soak", "--fault-rate", "0"]).fault_rate == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 Covers: the scope-chain name resolver (one regression per binding form
 the old flat walk missed), syntax-error classification, every pipeline
-rule positive + negative, the repo self-lint profile with the PR-3
-breaker-deadlock fixture, worker-count invariance of the lint verdict,
-and the execution-skip audit (statically-dirty code never reaches
+rule positive + negative, the repo self-lint profile with its
+lock-reentry (breaker-deadlock) fixture, and the execution-skip audit (statically-dirty code never reaches
 ``execute_pipeline_code``).
 """
 
@@ -764,19 +763,6 @@ class TestRepoProfile:
         reports = lint_paths(["src/repro"], profile="repo")
         errors = [f for r in reports for f in r.errors()]
         assert errors == [], [f.render() for f in errors]
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_lint_verdict_worker_invariant(self, workers):
-        baseline = lint_paths(["src/repro/resilience"], profile="repo", workers=1)
-        parallel = lint_paths(
-            ["src/repro/resilience"], profile="repo", workers=workers
-        )
-        assert [r.path for r in parallel] == [r.path for r in baseline]
-        assert [
-            f.to_dict() for r in parallel for f in r.findings
-        ] == [
-            f.to_dict() for r in baseline for f in r.findings
-        ]
 
 
 class TestLintCli:
