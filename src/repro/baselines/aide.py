@@ -35,13 +35,11 @@ class AIDEBaseline:
         max_retries: int = 5,
         description: str = "",
         seed: int = 0,
-        exec_mode: str | None = None,
     ) -> None:
         self.llm = llm
         self.max_retries = max_retries
         self.description = description
         self.seed = seed
-        self.exec_mode = exec_mode
 
     def _bare_schema(self, table: Table, target: str) -> list[dict[str, Any]]:
         kind_map = {"numeric": "number", "string": "string", "boolean": "boolean"}
@@ -104,7 +102,7 @@ class AIDEBaseline:
             if not analyze_source(code).ok:
                 last_error = "static"
                 continue  # resubmit the same prompt — AIDE has no repair prompt
-            result = execute_pipeline_code(code, train, test, mode=self.exec_mode)
+            result = execute_pipeline_code(code, train, test)
             if result.success:
                 report.success = True
                 report.metrics = result.metrics

@@ -45,13 +45,11 @@ class AutoGenBaseline:
         max_rounds: int = 15,
         description: str = "",
         seed: int = 0,
-        exec_mode: str | None = None,
     ) -> None:
         self.llm = llm
         self.max_rounds = max_rounds
         self.description = description
         self.seed = seed
-        self.exec_mode = exec_mode
 
     def _schema(self, table: Table, target: str) -> list[dict[str, Any]]:
         kind_map = {"numeric": "number", "string": "string", "boolean": "boolean"}
@@ -133,7 +131,7 @@ class AutoGenBaseline:
                 assert error is not None
                 error_note = error.render()
                 continue
-            result = execute_pipeline_code(code, train, test, mode=self.exec_mode)
+            result = execute_pipeline_code(code, train, test)
             if result.success:
                 report.success = True
                 report.metrics = result.metrics

@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.table.column import Column, ColumnKind
+from repro.table.column import Column, ColumnKind, factorize
 
 __all__ = [
     "ProfileCache",
@@ -88,34 +88,14 @@ def encode_object_values(values: list) -> bytes:
     """Length-prefixed byte encoding of object-column cells.
 
     Shared by the batch fingerprint above and the streaming per-chunk
-    byte producer, so both paths hash exactly the same octets.  Repeated
-    values are encoded once (factorize-then-gather); hash-equal values of
-    different types (``1`` vs ``1.0`` vs ``True``) encode per cell so the
-    byte stream stays identical to the per-cell definition.
+    byte producer, so both paths hash exactly the same octets: the
+    concatenation of ``_encode_one`` over the cells.  Repeated values are
+    encoded once (factorize-then-gather); cells :func:`factorize` cannot
+    key are encoded one by one.
     """
-    try:
-        distinct = list(dict.fromkeys(values))
-    except TypeError:
-        distinct = None
-    if distinct is None or len(distinct) >= len(values):
-        parts: list[bytes] = []
-        for value in values:
-            parts.append(_encode_one(value))
-        return b"".join(parts)
-    crossable = set()
-    for t in set(map(type, distinct)):
-        if t is type(None) or issubclass(t, str):
-            continue  # str/None never compare equal across types
-        if issubclass(t, (int, float, np.integer, np.floating, np.bool_)):
-            crossable.add(t)
-        else:
-            # unknown type: no cross-type equality guarantees, encode per cell
-            return b"".join(_encode_one(value) for value in values)
-    if len(crossable) > 1:
-        # e.g. 1 vs 1.0 share a dict slot but str() differently
-        return b"".join(_encode_one(value) for value in values)
-    encodings = {value: _encode_one(value) for value in distinct}
-    return b"".join(map(encodings.__getitem__, values))
+    distinct, codes = factorize(values) or (values, np.arange(len(values)))
+    encodings = list(map(_encode_one, distinct))
+    return b"".join(map(encodings.__getitem__, codes.tolist()))
 
 
 class ProfileCache:

@@ -50,12 +50,12 @@ from repro.sketch import (
     PairSketch,
     SketchConfig,
 )
-from repro.sketch.base import typed_factorize
 from repro.table.column import (
     _FALSE_TOKENS,
     _TRUE_TOKENS,
     _format_value,
     _is_missing_scalar,
+    factorize,
 )
 from repro.table.io_csv import DEFAULT_CHUNK_ROWS, CsvChunk, iter_csv_chunks
 from repro.table.table import Table
@@ -97,12 +97,9 @@ class _ColumnChunkArtifacts:
     __slots__ = ("raw_mask", "floats", "num_mask", "tokens", "bools")
 
     def __init__(self, values: list[Any]) -> None:
-        factorized = typed_factorize(values)
-        if factorized is None:  # exotic cell types: per-cell parse
-            self._init_per_cell(values)
-            return
-        # parse/format/bool-probe once per distinct value, gather by code
-        distinct, codes = factorized
+        # parse/format/bool-probe once per distinct value, gather by code;
+        # cells factorize cannot key (unhashable, exotic) get a slot each
+        distinct, codes = factorize(values) or (values, np.arange(len(values)))
         k = len(distinct)
         d_missing = np.fromiter(
             (_is_missing_scalar(v) for v in distinct), dtype=bool, count=k
@@ -137,41 +134,6 @@ class _ColumnChunkArtifacts:
         self.num_mask = d_num_bad[codes]
         self.tokens = d_tokens[codes].tolist()
         self.bools = d_bools[codes].tolist() if bool_chunk else None
-
-    def _init_per_cell(self, values: list[Any]) -> None:
-        n = len(values)
-        self.raw_mask = np.fromiter(
-            (_is_missing_scalar(v) for v in values), dtype=bool, count=n
-        )
-        floats = np.empty(n, dtype=np.float64)
-        num_mask = self.raw_mask.copy()
-        tokens: list[str | None] = [None] * n
-        bools: list[Any] | None = [None] * n
-        for i, value in enumerate(values):  # repro: allow-per-row
-            if self.raw_mask[i]:
-                floats[i] = np.nan
-                continue
-            try:
-                floats[i] = float(value)
-            except (TypeError, ValueError):
-                floats[i] = np.nan
-                num_mask[i] = True
-            tokens[i] = _format_value(value)
-            if bools is not None:
-                if isinstance(value, bool):
-                    bools[i] = value
-                else:
-                    lowered = str(value).strip().lower()
-                    if lowered in _TRUE_TOKENS:
-                        bools[i] = True
-                    elif lowered in _FALSE_TOKENS:
-                        bools[i] = False
-                    else:
-                        bools = None  # not a boolean-coercible chunk
-        self.floats = floats
-        self.num_mask = num_mask
-        self.tokens = tokens
-        self.bools = bools
 
     def view_bytes(self) -> dict[str, tuple[bytes, bytes, int, int]]:
         """(data_bytes, mask_bytes, n, n_missing) per possible kind view,

@@ -48,7 +48,8 @@ def resolve_exec_mode(mode: str | None = None) -> str:
 
 def resolve_memory_mb(memory_mb: int | None = None) -> int | None:
     """Per-execution memory cap: explicit arg > ``$REPRO_EXEC_MEMORY_MB``
-    > unlimited (``None``).  ``0`` or negative also means unlimited."""
+    > unlimited (``None``).  ``0`` or negative also means unlimited.
+    Raises ``ValueError`` when the variable is set but not an integer."""
     if memory_mb is None:
         env = os.environ.get(MEMORY_ENV, "").strip()
         if not env:
@@ -56,7 +57,9 @@ def resolve_memory_mb(memory_mb: int | None = None) -> int | None:
         try:
             memory_mb = int(env)
         except ValueError:
-            return None
+            raise ValueError(
+                f"{MEMORY_ENV} must be an integer number of MiB, got {env!r}"
+            ) from None
     return memory_mb if memory_mb > 0 else None
 
 

@@ -13,6 +13,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.ml.base import BaseEstimator, TransformerMixin
+from repro.table.column import factorize
 
 __all__ = [
     "SimpleImputer",
@@ -48,48 +49,6 @@ _IS_MISSING_UFUNC = np.frompyfunc(_is_missing, 1, 1)
 
 def _missing_mask(values: np.ndarray) -> np.ndarray:
     return _IS_MISSING_UFUNC(values).astype(bool)
-
-
-def _factorize_cells(values: list) -> tuple[list, np.ndarray] | None:
-    """First-seen distinct values plus per-cell indices into them.
-
-    Lets the encoders do per-value work (dict lookups, md5, parsing) once
-    per *distinct* value and gather results by code — the same trick the
-    dictionary-encoded columns use.  Returns ``None`` when cells are
-    unhashable, so callers can keep the per-cell fallback.
-    """
-    try:
-        index = dict.fromkeys(values)
-    except TypeError:
-        return None
-    distinct = list(index)
-    for i, value in enumerate(distinct):
-        index[value] = i
-    codes = np.fromiter(
-        map(index.__getitem__, values), dtype=np.int64, count=len(values)
-    )
-    return distinct, codes
-
-
-def _factorize_typed(values: list) -> tuple[list, np.ndarray] | None:
-    """Like :func:`_factorize_cells` but keyed by ``(type, value)``.
-
-    For per-value work that depends on ``str(value)`` (hashing, parsing):
-    hash-equal values of different types (``True`` vs ``1`` vs ``1.0``)
-    render differently and must not share a slot.
-    """
-    keys = [(type(value), value) for value in values]
-    try:
-        index = dict.fromkeys(keys)
-    except TypeError:
-        return None
-    distinct_keys = list(index)
-    for i, key in enumerate(distinct_keys):
-        index[key] = i
-    codes = np.fromiter(
-        map(index.__getitem__, keys), dtype=np.int64, count=len(values)
-    )
-    return [key[1] for key in distinct_keys], codes
 
 
 class SimpleImputer(BaseEstimator, TransformerMixin):
@@ -249,15 +208,7 @@ class LabelEncoder(BaseEstimator, TransformerMixin):
     def transform(self, y: Iterable[Any]) -> np.ndarray:
         self._check_fitted("classes_")
         values = list(y)
-        factorized = _factorize_cells(values)
-        if factorized is None:  # unhashable labels: fail like the seed path
-            out = []
-            for value in values:  # repro: allow-per-row
-                if value not in self._index:
-                    raise ValueError(f"unseen label {value!r}")
-                out.append(self._index[value])
-            return np.asarray(out, dtype=np.int64)
-        distinct, codes = factorized
+        distinct, codes = factorize(values) or (values, np.arange(len(values)))
         lut = np.empty(len(distinct), dtype=np.int64)
         for i, value in enumerate(distinct):
             code = self._index.get(value)
@@ -293,14 +244,7 @@ class OrdinalEncoder(BaseEstimator, TransformerMixin):
         out = np.full(X.shape, -1.0, dtype=np.float64)
         for j, index in enumerate(self._index):
             cells = X[:, j].tolist()
-            factorized = _factorize_cells(cells)
-            if factorized is None:  # unhashable cells: fail like the seed path
-                for i, value in enumerate(cells):  # repro: allow-per-row
-                    code = index.get(value)
-                    if code is not None:
-                        out[i, j] = float(code)
-                continue
-            distinct, codes = factorized
+            distinct, codes = factorize(cells) or (cells, np.arange(len(cells)))
             lut = np.fromiter(
                 (
                     -1.0 if (code := index.get(value)) is None else float(code)
@@ -358,19 +302,7 @@ class OneHotEncoder(BaseEstimator, TransformerMixin):
         for j, index in enumerate(self._index):
             has_other = self.categories_[j] and self.categories_[j][-1] == self.OTHER
             cells = X[:, j].tolist()
-            factorized = _factorize_cells(cells)
-            if factorized is None:  # unhashable cells: fail like the seed path
-                for i, value in enumerate(cells):  # repro: allow-per-row
-                    if _is_missing(value):
-                        continue
-                    code = index.get(value)
-                    if code is None and has_other:
-                        code = index[self.OTHER]
-                    if code is not None:
-                        out[i, offset + code] = 1.0
-                offset += widths[j]
-                continue
-            distinct, codes = factorized
+            distinct, codes = factorize(cells) or (cells, np.arange(len(cells)))
             lut = np.full(len(distinct), -1, dtype=np.int64)
             for pos, value in enumerate(distinct):
                 if _is_missing(value):
@@ -434,25 +366,13 @@ class KHotEncoder(BaseEstimator, TransformerMixin):
 
     def transform(self, column: Iterable[Any]) -> np.ndarray:
         self._check_fitted("items_")
+        # parse + item lookups once per distinct cell, then gather by code
         cells = list(_flatten_column(column))
-        out = np.zeros((len(cells), len(self.items_)), dtype=np.float64)
-        # parse + item lookups once per distinct cell, then scatter by code
-        memo: dict[Any, list[int]] = {}
-        rows: list[int] = []
-        cols: list[int] = []
-        for i, cell in enumerate(cells):  # repro: allow-per-row
-            try:
-                # keyed by (type, value): parsing depends on str(cell)
-                hit = memo[type(cell), cell]
-            except KeyError:
-                memo[type(cell), cell] = hit = self._item_codes(cell)
-            except TypeError:  # list-valued cell: not memoizable
-                hit = self._item_codes(cell)
-            rows.extend([i] * len(hit))
-            cols.extend(hit)
-        if rows:
-            out[rows, cols] = 1.0
-        return out
+        distinct, codes = factorize(cells) or (cells, np.arange(len(cells)))
+        lut = np.zeros((len(distinct), len(self.items_)), dtype=np.float64)
+        for pos, cell in enumerate(distinct):
+            lut[pos, self._item_codes(cell)] = 1.0
+        return lut[codes]
 
     def _item_codes(self, cell: Any) -> list[int]:
         return [
@@ -478,16 +398,8 @@ class FeatureHasher(BaseEstimator, TransformerMixin):
     def transform(self, column: Iterable[Any]) -> np.ndarray:
         self._check_fitted("fitted_")
         cells = list(_flatten_column(column))
+        distinct, codes = factorize(cells) or (cells, np.arange(len(cells)))
         out = np.zeros((len(cells), self.n_features), dtype=np.float64)
-        factorized = _factorize_typed(cells)
-        if factorized is None:  # unhashable cells: hash one by one
-            for i, cell in enumerate(cells):  # repro: allow-per-row
-                if _is_missing(cell):
-                    continue
-                bucket, sign = self._hash_cell(cell)
-                out[i, bucket] += sign
-            return out
-        distinct, codes = factorized
         # one md5 per distinct value instead of one per cell
         buckets = np.full(len(distinct), -1, dtype=np.int64)
         signs = np.zeros(len(distinct), dtype=np.float64)

@@ -51,17 +51,19 @@ def resolve_experiment_workers(workers: int | None) -> int:
     """Normalize the scheduler's ``workers`` knob (>= 1).
 
     ``None`` consults ``REPRO_EXPERIMENT_WORKERS`` and falls back to 1
-    (sequential); ``0`` or negative means "use all cores".
+    (sequential); ``0`` or negative means "use all cores".  Raises
+    ``ValueError`` when the variable is set but not an integer.
     """
     if workers is None:
         env = os.environ.get(_WORKERS_ENV, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                workers = 1
-        else:
+        if not env:
             return 1
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(
+                f"{_WORKERS_ENV} must be an integer, got {env!r}"
+            ) from None
     if workers <= 0:
         return os.cpu_count() or 1
     return workers

@@ -21,7 +21,6 @@ same seed produce identical summaries (unlike builtin ``hash``, which is
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -32,14 +31,11 @@ import numpy as np
 __all__ = [
     "SketchConfig",
     "encode_value",
-    "encode_distinct",
     "hash64",
     "hash64_many",
     "priority_for_tokens",
     "priority_for_floats",
     "seed_material",
-    "typed_cell_key",
-    "typed_factorize",
 ]
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -95,76 +91,6 @@ def encode_value(value: Any) -> bytes:
     if isinstance(value, str):
         return b"\x01" + value.encode("utf-8", "surrogatepass")
     return b"\x01" + str(value).encode("utf-8", "surrogatepass")
-
-
-_KEY_SAFE_TYPES = (
-    str, bool, int, float, type(None), np.bool_, np.integer, np.floating
-)
-
-
-def typed_cell_key(value: Any) -> tuple:
-    """Dict key under which equal-and-same-rendering values collapse.
-
-    Plain equality is too coarse for per-distinct work: ``True``/``1``/
-    ``1.0`` share a hash slot but parse, format, and encode differently,
-    and ``0.0``/``-0.0`` differ in their IEEE-754 bytes.  Typing the key
-    (plus a sign tag for float zero) keeps such values apart.  Raises
-    ``TypeError`` for types without value-determined rendering (e.g.
-    ``Decimal("1")`` equals ``Decimal("1.0")`` but prints differently),
-    so callers fall back to their per-cell path.
-    """
-    if isinstance(value, float) and value == 0.0:
-        return (value.__class__, 0.0, math.copysign(1.0, value))
-    if isinstance(value, _KEY_SAFE_TYPES):
-        return (value.__class__, value)
-    raise TypeError(f"no stable distinct key for {type(value).__name__}")
-
-
-def typed_factorize(values: list) -> tuple[list, np.ndarray] | None:
-    """First-seen distinct values + per-cell codes, keyed per type.
-
-    The substrate for doing parse/format/hash work once per *distinct*
-    value and gathering results by code.  Returns ``None`` when any cell
-    is unhashable or of a type :func:`typed_cell_key` cannot key.
-    """
-    index: dict[tuple, int] = {}
-    distinct: list = []
-    codes = np.empty(len(values), dtype=np.int64)
-    try:
-        for i, value in enumerate(values):
-            key = typed_cell_key(value)
-            code = index.get(key)
-            if code is None:
-                code = index[key] = len(distinct)
-                distinct.append(value)
-            codes[i] = code
-    except TypeError:
-        return None
-    return distinct, codes
-
-
-def encode_distinct(values: list) -> tuple[list[bytes], np.ndarray] | None:
-    """Factorize by :func:`encode_value` bytes: encodings + per-cell codes.
-
-    Unlike :func:`typed_factorize` this merges values whose *encodings*
-    coincide (``1`` and ``"1"`` both encode as ``b"\\x01" + b"1"``), so
-    the result is exactly the per-cell encoding stream, deduplicated.
-    """
-    factorized = typed_factorize(values)
-    if factorized is None:
-        return None
-    distinct, codes = factorized
-    by_encoding: dict[bytes, int] = {}
-    remap = np.empty(len(distinct), dtype=np.int64)
-    encodings: list[bytes] = []
-    for t_code, value in enumerate(distinct):
-        data = encode_value(value)
-        final = by_encoding.get(data)
-        if final is None:
-            final = by_encoding[data] = len(encodings)
-            encodings.append(data)
-        remap[t_code] = final
-    return encodings, remap[codes]
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from repro.sketch.accumulators import (
     KindFlags,
     TokenStats,
 )
-from repro.sketch.base import SketchConfig, typed_factorize
+from repro.sketch.base import SketchConfig
 from repro.sketch.heavyhitters import SpaceSavingSketch
 from repro.sketch.kmv import KMVSketch
 from repro.sketch.moments import MomentsSketch
@@ -48,6 +48,7 @@ from repro.table.column import (
     _format_value,
     _is_missing_scalar,
     _to_bool,
+    factorize,
 )
 
 __all__ = ["ColumnSketch", "ColumnSketchResult"]
@@ -300,56 +301,34 @@ class ColumnSketch:
         self._feed_views(values, rows)
 
     def _feed_views(self, values: list[Any], rows: np.ndarray) -> None:
-        factorized = typed_factorize(values)
-        if factorized is not None:
-            # missing-probe / parse / format once per distinct value
-            distinct, codes = factorized
-            d_missing = np.fromiter(
-                (_is_missing_scalar(v) for v in distinct),
-                dtype=bool, count=len(distinct),
-            )
-            raw_mask = d_missing[codes]
-        else:
-            distinct = codes = None
-            raw_mask = np.fromiter(
-                (_is_missing_scalar(v) for v in values),
-                dtype=bool, count=len(values),
-            )
+        # missing-probe / parse / format once per distinct value; cells
+        # factorize cannot key (unhashable, exotic) get a slot each
+        distinct, codes = factorize(values) or (values, np.arange(len(values)))
+        d_missing = np.fromiter(
+            (_is_missing_scalar(v) for v in distinct),
+            dtype=bool, count=len(distinct),
+        )
+        raw_mask = d_missing[codes]
         present_idx = np.nonzero(~raw_mask)[0]
         present = [values[i] for i in present_idx.tolist()]
         present_rows = rows[present_idx]
         if self.numeric is not None:
-            num_mask = raw_mask.copy()
-            if codes is not None:
-                d_parsed = np.full(len(distinct), np.nan, dtype=np.float64)
-                d_bad = d_missing.copy()
-                for j, value in enumerate(distinct):
-                    if d_missing[j]:
-                        continue
-                    try:
-                        d_parsed[j] = float(value)
-                    except (TypeError, ValueError):
-                        d_bad[j] = True
-                parsed = d_parsed[codes]
-                num_mask |= d_bad[codes]
-            else:
-                parsed = np.empty(len(values), dtype=np.float64)
-                for i in present_idx.tolist():  # repro: allow-per-row
-                    try:
-                        parsed[i] = float(values[i])
-                    except (TypeError, ValueError):
-                        num_mask[i] = True
-            parsed[num_mask] = np.nan
-            self.numeric.update(parsed, num_mask, rows)
+            d_parsed = np.full(len(distinct), np.nan, dtype=np.float64)
+            d_bad = d_missing.copy()
+            for j, value in enumerate(distinct):
+                if d_missing[j]:
+                    continue
+                try:
+                    d_parsed[j] = float(value)
+                except (TypeError, ValueError):
+                    d_bad[j] = True
+            self.numeric.update(d_parsed[codes], d_bad[codes], rows)
         if self.string is not None:
-            if codes is not None:
-                d_fmt = np.empty(len(distinct), dtype=object)
-                for j, value in enumerate(distinct):
-                    if not d_missing[j]:
-                        d_fmt[j] = _format_value(value)
-                formatted = d_fmt[codes[present_idx]].tolist()
-            else:
-                formatted = [_format_value(v) for v in present]
+            d_fmt = np.empty(len(distinct), dtype=object)
+            for j, value in enumerate(distinct):
+                if not d_missing[j]:
+                    d_fmt[j] = _format_value(value)
+            formatted = d_fmt[codes[present_idx]].tolist()
             self.string.update(formatted, present_rows.tolist())
         if self.boolean is not None:
             self.boolean.update(present, present_rows.tolist())

@@ -18,12 +18,8 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.sketch.base import (
-    SketchConfig,
-    encode_distinct,
-    encode_value,
-    hash64_many,
-)
+from repro.sketch.base import SketchConfig, encode_value, hash64_many
+from repro.table.column import factorize
 
 __all__ = ["KMVSketch"]
 
@@ -69,11 +65,7 @@ class KMVSketch:
         values = list(values)
         if not values:
             return
-        factorized = encode_distinct(values)
-        if factorized is None:
-            self._update_per_cell(values, rows)
-            return
-        encodings, codes = factorized
+        encodings, codes = _encode_distinct(values)
         if self._exact is None:
             # hash once per distinct encoding — the set union is the same
             self._hashes.update(hash64_many(self.key, encodings).tolist())
@@ -98,28 +90,6 @@ class KMVSketch:
                 exact[encoded] = (row, values[cell])
         if len(exact) > self.exact_threshold:
             self._degrade()
-
-    def _update_per_cell(
-        self, values: list[Any], rows: Iterable[int] | None
-    ) -> None:
-        """Seed path for values without a stable per-distinct key."""
-        if rows is None:
-            rows = range(1 << 62)  # exact first-seen order is then meaningless
-        if self._exact is not None:
-            exact = self._exact
-            for value, row in zip(values, rows):  # repro: allow-per-row
-                encoded = encode_value(value)
-                seen = exact.get(encoded)
-                if seen is None:
-                    exact[encoded] = (row, value)
-                elif row < seen[0]:
-                    exact[encoded] = (row, value)
-            if len(exact) > self.exact_threshold:
-                self._degrade()
-            return
-        encodings = [encode_value(value) for value in values]
-        self._hashes.update(hash64_many(self.key, encodings).tolist())
-        self._prune(soft=True)
 
     def _degrade(self) -> None:
         """Exact -> sketch: hash every stored encoding, drop the values."""
@@ -203,3 +173,25 @@ class KMVSketch:
     def __repr__(self) -> str:
         mode = "exact" if self._exact is not None else "kmv"
         return f"KMVSketch(k={self.k}, mode={mode}, estimate={self.estimate()})"
+
+
+def _encode_distinct(values: list) -> tuple[list[bytes], np.ndarray]:
+    """Distinct :func:`encode_value` encodings + a code per cell.
+
+    Merges values whose *encodings* coincide (``1`` and ``"1"`` both
+    encode as ``b"\\x01" + b"1"``), so the result is exactly the per-cell
+    encoding stream, deduplicated.  Cells :func:`factorize` cannot key
+    are encoded one by one.
+    """
+    distinct, codes = factorize(values) or (values, np.arange(len(values)))
+    by_encoding: dict[bytes, int] = {}
+    remap = np.empty(len(distinct), dtype=np.int64)
+    encodings: list[bytes] = []
+    for t_code, value in enumerate(distinct):
+        data = encode_value(value)
+        final = by_encoding.get(data)
+        if final is None:
+            final = by_encoding[data] = len(encodings)
+            encodings.append(data)
+        remap[t_code] = final
+    return encodings, remap[codes]

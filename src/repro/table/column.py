@@ -23,7 +23,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Column", "ColumnKind"]
+__all__ = ["Column", "ColumnKind", "factorize"]
 
 
 class ColumnKind(str, enum.Enum):
@@ -52,19 +52,8 @@ def _is_missing_scalar(value: Any) -> bool:
 
 # -- dictionary-encoding helpers -----------------------------------------------
 
-# Types whose __eq__/__hash__ never cross type boundaries in a way that
-# changes coercion: two pool-equal values of these types always coerce to
-# the same cell (bool is the exception, handled separately below).
-_POOL_SAFE_TYPES = (
-    str,
-    bool,
-    int,
-    float,
-    np.bool_,
-    np.integer,
-    np.floating,
-    type(None),
-)
+# Numeric cell types; values of two of them can compare equal (True == 1 == 1.0).
+_NUMBER_TYPES = (int, float, np.bool_, np.integer, np.floating)
 
 _IS_NONE = np.frompyfunc(lambda value: value is None, 1, 1)
 _IS_BOOL = np.frompyfunc(lambda value: isinstance(value, bool), 1, 1)
@@ -89,33 +78,47 @@ def _all_numeric_types(types: set) -> bool:
     )
 
 
-def _factorize_raw(values: list, types: set) -> tuple[list, np.ndarray] | None:
-    """First-seen distinct pool + per-row pool index, or ``None``.
+def factorize(values: list) -> tuple[list, np.ndarray] | None:
+    """First-seen distinct values plus an ``int64`` code per cell, or ``None``.
 
-    Returns ``None`` when the values cannot safely share one hash table:
-    unhashable cells, exotic types with cross-type equality, or bools
-    mixed with numbers (``hash(True) == hash(1)`` would merge cells whose
-    string coercions differ).  Callers fall back to per-cell coercion.
+    The one distinct-value key of the data plane.  Two cells share a slot
+    only if they render identically: same type, equal, and (for float
+    zero) the same sign.  Plain equality is coarser -- ``True == 1 == 1.0``
+    and ``0.0 == -0.0`` each share a dict slot but format, parse and
+    encode differently.  Returns ``None`` for unhashable cells and for
+    types outside ``str``/``bool``/``int``/``float``/``None``/numpy
+    scalars, whose equality says nothing about rendering
+    (``Decimal("1") == Decimal("1.0")``); callers then give each cell
+    its own slot.
     """
-    boolish = 0
-    numeric = 0
-    for t in types:
-        if not issubclass(t, _POOL_SAFE_TYPES):
+    numbers = strings = 0
+    floats = []
+    for t in set(map(type, values)):
+        if issubclass(t, _NUMBER_TYPES):
+            numbers += 1
+            if issubclass(t, (float, np.floating)):
+                floats.append(t)
+        elif issubclass(t, str):
+            strings += 1
+        elif t is not type(None):
             return None
-        if t is bool or t is np.bool_:
-            boolish += 1
-        elif not issubclass(t, (str, type(None))):
-            numeric += 1
-    if boolish and (boolish > 1 or numeric):
-        return None
+    # with one type per equality family the value alone is the typed key,
+    # and dict.fromkeys keys the cells at C speed
+    typed = numbers > 1 or strings > 1
+    keys = list(zip(map(type, values), values)) if typed else values
     try:
-        first = dict.fromkeys(values)
-    except TypeError:
+        first = dict.fromkeys(keys)
+    except TypeError:  # a hash-less str or number subclass
         return None
-    keys = values
-    if numeric and 0 in first:
-        # 0.0 == -0.0 share one dict slot; tag zeros with their sign
-        keys = [(v, math.copysign(1.0, v)) if v == 0 else v for v in values]
+    if floats and (
+        any((t, 0) in first for t in floats) if typed else 0 in first
+    ):
+        # 0.0 == -0.0 share one dict slot; key zeros with their sign
+        keys = [
+            (type(value), value, math.copysign(1.0, value))
+            if value == 0 else key
+            for key, value in zip(keys, values)
+        ]
         first = dict.fromkeys(keys)
     index = {key: code for code, key in enumerate(first)}
     codes = np.fromiter(
@@ -123,7 +126,8 @@ def _factorize_raw(values: list, types: set) -> tuple[list, np.ndarray] | None:
     )
     if keys is values:
         return list(first), codes
-    return [k[0] if isinstance(k, tuple) else k for k in first], codes
+    # every tuple key holds its first cell at [1]; values are never tuples
+    return [key[1] if type(key) is tuple else key for key in first], codes
 
 
 def _coerce_pool(
@@ -174,64 +178,24 @@ def _coerce_pool(
 
 
 def _encode_coerced(
-    values: list, missing: np.ndarray
+    data: np.ndarray, missing: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dictionary-encode already-coerced values under a missing mask.
 
     Used by :meth:`Column.from_numpy`, which (like the seed) stores the
-    given values verbatim.  Hash-colliding values of different types
-    (``True`` vs ``1``) keep distinct codes so fingerprints still hash
-    the original cell values; ``unique()`` re-applies the seed's
-    hash-collapse at query time.
+    given values verbatim.  :func:`factorize` keeps hash-colliding values
+    of different types (``True`` vs ``1``) on distinct codes so
+    fingerprints still hash the original cell values; ``unique()``
+    re-applies the seed's hash-collapse at query time.  Cells
+    :func:`factorize` cannot key get a code each.
     """
-    present = [v for v, m in zip(values, missing) if not m]
-    types = set(map(type, present))
-    safe = all(issubclass(t, _POOL_SAFE_TYPES) for t in types)
-    if safe:
-        boolish = (bool in types) + (np.bool_ in types)
-        numeric = sum(
-            1
-            for t in types
-            if t not in (bool, np.bool_)
-            and not issubclass(t, (str, type(None)))
-        )
-        safe = not (boolish and (boolish > 1 or numeric))
-    index: dict[Any, int] = {}
-    pool: list[Any] = []
-    codes = np.empty(len(values), dtype=np.int32)
-    try:
-        if safe:
-            for i, (value, m) in enumerate(zip(values, missing)):
-                if m:
-                    codes[i] = -1
-                    continue
-                code = index.get(value)
-                if code is None:
-                    code = len(pool)
-                    index[value] = code
-                    pool.append(value)
-                codes[i] = code
-        else:
-            # key by (type, value) so hash-equal cross-type cells stay apart
-            for i, (value, m) in enumerate(zip(values, missing)):
-                if m:
-                    codes[i] = -1
-                    continue
-                key = (value.__class__, value)
-                code = index.get(key)
-                if code is None:
-                    code = len(pool)
-                    index[key] = code
-                    pool.append(value)
-                codes[i] = code
-    except TypeError:  # unhashable cells: no dedup, one code per cell
-        pool = []
-        for i, (value, m) in enumerate(zip(values, missing)):
-            if m:
-                codes[i] = -1
-            else:
-                codes[i] = len(pool)
-                pool.append(value)
+    present_idx = np.flatnonzero(~missing)
+    present = data[present_idx].tolist()
+    pool, present_codes = factorize(present) or (
+        present, np.arange(len(present))
+    )
+    codes = np.full(len(data), -1, dtype=np.int32)
+    codes[present_idx] = present_codes
     return _object_array(pool), codes
 
 
@@ -279,23 +243,8 @@ class Column:
                 self._codes = None
                 self._pool = None
                 return
-        factorized = _factorize_raw(raw, types)
-        if factorized is None:
-            self.kind = kind if kind is not None else _infer_kind(raw)
-            data, missing = _coerce(raw, self.kind)
-            if self.kind is ColumnKind.NUMERIC:
-                self._data = data
-                self.missing = missing
-                self._codes = None
-                self._pool = None
-            else:
-                pool, codes = _encode_coerced(data.tolist(), missing)
-                self._pool = pool
-                self._codes = codes
-                self.missing = missing
-                self._data = None
-            return
-        pool, codes = factorized
+        # cells factorize cannot key (unhashable, exotic) get a slot each
+        pool, codes = factorize(raw) or (raw, np.arange(len(raw)))
         self.kind = kind if kind is not None else _infer_kind(pool)
         a, b = _coerce_pool(pool, codes, self.kind)
         if self.kind is ColumnKind.NUMERIC:
@@ -367,7 +316,7 @@ class Column:
             codes[missing] = -1
             col._codes = codes
         else:
-            col._pool, col._codes = _encode_coerced(data.tolist(), missing)
+            col._pool, col._codes = _encode_coerced(data, missing)
         col.missing = missing
         col._data = None
         return col
@@ -697,36 +646,6 @@ def _infer_kind(values: list[Any]) -> ColumnKind:
     if saw_bool:
         return ColumnKind.BOOLEAN
     return ColumnKind.STRING
-
-
-def _coerce(values: list[Any], kind: ColumnKind) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell fallback coercion for values the pool factorizer rejects
-    (unhashable cells, bools mixed with numbers, exotic scalar types)."""
-    n = len(values)
-    missing = np.zeros(n, dtype=bool)
-    if kind is ColumnKind.NUMERIC:
-        data = np.empty(n, dtype=np.float64)
-        for i, value in enumerate(values):
-            if _is_missing_scalar(value):
-                data[i] = np.nan
-                missing[i] = True
-                continue
-            try:
-                data[i] = float(value)
-            except (TypeError, ValueError):
-                data[i] = np.nan
-                missing[i] = True
-        return data, missing
-    data = np.empty(n, dtype=object)
-    for i, value in enumerate(values):
-        if _is_missing_scalar(value):
-            data[i] = None
-            missing[i] = True
-        elif kind is ColumnKind.BOOLEAN:
-            data[i] = _to_bool(value)
-        else:
-            data[i] = _format_value(value)
-    return data, missing
 
 
 def _to_bool(value: Any) -> bool:

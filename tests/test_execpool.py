@@ -92,8 +92,18 @@ class TestModeResolution:
         monkeypatch.setenv(MEMORY_ENV, "512")
         assert resolve_memory_mb(None) == 512
         assert resolve_memory_mb(128) == 128  # arg beats env
-        monkeypatch.setenv(MEMORY_ENV, "not-a-number")
+        monkeypatch.setenv(MEMORY_ENV, "")
         assert resolve_memory_mb(None) is None
+        monkeypatch.setenv(MEMORY_ENV, "-1")
+        assert resolve_memory_mb(None) is None
+
+    @pytest.mark.parametrize("raw", ["512MB", "not-a-number", "1.5"])
+    def test_malformed_memory_env_rejected(self, monkeypatch, raw):
+        # a typo must not silently lift the memory cap
+        monkeypatch.setenv(MEMORY_ENV, raw)
+        with pytest.raises(ValueError, match=MEMORY_ENV):
+            resolve_memory_mb(None)
+        assert resolve_memory_mb(64) == 64  # an explicit cap skips the env
 
 
 # ---------------------------------------------------------------------------

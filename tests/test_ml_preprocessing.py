@@ -183,6 +183,22 @@ class TestKHotEncoder:
         enc = KHotEncoder().fit(["a", None])
         assert enc.transform([None]).sum() == 0.0
 
+    def test_list_cells_transform_like_delimited_strings(self):
+        # list cells cannot be factorized: the per-cell path must agree
+        enc = KHotEncoder().fit(["a, b", "b, c"])
+        lists = enc.transform(np.array([["a", "b"], ["c"], None], dtype=object))
+        strings = enc.transform(["a, b", "c", None])
+        assert (lists == strings).all()
+
+    def test_signed_zero_cells_parse_apart(self):
+        # 0.0 == -0.0, but "-0.0" is its own item: a -0.0 cell after a
+        # 0.0 cell must still encode as "-0.0"
+        enc = KHotEncoder().fit(["-0.0", "0.0"])
+        mixed = enc.transform([0.0, -0.0])
+        assert (mixed[1] == enc.transform([-0.0])[0]).all()
+        assert (mixed[0] == enc.transform([0.0])[0]).all()
+        assert not (mixed[0] == mixed[1]).all()
+
 
 class TestFeatureHasher:
     def test_deterministic(self):
@@ -202,3 +218,18 @@ class TestFeatureHasher:
     def test_n_features_validated(self):
         with pytest.raises(ValueError):
             FeatureHasher(0)
+
+    def test_signed_zero_hashes_its_own_rendering(self):
+        # a -0.0 cell hashes str(-0.0) even when a 0.0 cell came first
+        h = FeatureHasher(16).fit([])
+        mixed = h.transform([0.0, -0.0])
+        assert (mixed[1] == h.transform([-0.0])[0]).all()
+        assert (mixed[0] == h.transform([0.0])[0]).all()
+
+    def test_cross_type_equal_cells_hash_their_own_rendering(self):
+        # True == 1 == 1.0 share a dict slot but render differently
+        h = FeatureHasher(64).fit([])
+        cells = [1, True, 1.0, np.int64(1), "1"]
+        mixed = h.transform(cells)
+        for i, cell in enumerate(cells):
+            assert (mixed[i] == h.transform([cell])[0]).all()

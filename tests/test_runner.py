@@ -167,8 +167,18 @@ class TestScheduler:
         assert resolve_experiment_workers(0) >= 1
         monkeypatch.setenv("REPRO_EXPERIMENT_WORKERS", "5")
         assert resolve_experiment_workers(None) == 5
-        monkeypatch.setenv("REPRO_EXPERIMENT_WORKERS", "nope")
+        monkeypatch.setenv("REPRO_EXPERIMENT_WORKERS", "")
         assert resolve_experiment_workers(None) == 1
+        monkeypatch.setenv("REPRO_EXPERIMENT_WORKERS", "0")
+        assert resolve_experiment_workers(None) >= 1
+
+    @pytest.mark.parametrize("raw", ["four", "nope", "2.5"])
+    def test_malformed_workers_env_rejected(self, monkeypatch, raw):
+        # a typo must not silently run the grid sequentially
+        monkeypatch.setenv("REPRO_EXPERIMENT_WORKERS", raw)
+        with pytest.raises(ValueError, match="REPRO_EXPERIMENT_WORKERS"):
+            resolve_experiment_workers(None)
+        assert resolve_experiment_workers(2) == 2  # an explicit count skips the env
 
 
 class TestRunGrid:

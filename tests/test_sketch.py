@@ -7,6 +7,8 @@ below its threshold, and within its advertised error bound above it.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,13 @@ from repro.sketch import (
     SpaceSavingSketch,
 )
 from repro.sketch.base import encode_value, hash64, hash64_many, seed_material
+from repro.table.column import _format_value
+
+# no distinct key exists for these cells: every cell takes its own slot
+_UNKEYABLE = [
+    Decimal("2.5"), Decimal("2.50"), None, Decimal("1"), ["x"], "a", "1",
+    Decimal("2.5"),
+]
 
 
 def _chunked(values, rng, min_chunks=2, max_chunks=8):
@@ -58,6 +67,15 @@ class TestKMV:
         assert sk.is_exact
         assert sk.estimate() == 40
         assert sk.distinct_values() == [f"v{i}" for i in range(40)]
+
+    def test_unkeyable_cells_follow_per_cell_encodings(self):
+        sk = KMVSketch(k=64, exact_threshold=100)
+        sk.update(_UNKEYABLE, range(len(_UNKEYABLE)))
+        first = {}
+        for value in _UNKEYABLE:
+            first.setdefault(encode_value(value), value)
+        assert sk.estimate() == len(first)  # "1" and Decimal("1") merge
+        assert sk.distinct_values() == list(first.values())
 
     def test_accuracy_one_million(self):
         # Contract: within +-2% on a 1M-value stream at k=1024.  The
@@ -278,6 +296,20 @@ class TestColumnSketch:
             assert other.statistics["std"] == pytest.approx(
                 base.statistics["std"], rel=1e-9
             )
+
+    def test_unkeyable_cells_at_any_chunking(self):
+        cells = _UNKEYABLE * 3
+        present = [v for v in cells if v is not None]
+        config = SketchConfig(seed=0, exact_threshold=4)
+        for bounds in ([0, 24], [0, 10, 24], [0, 3, 4, 24]):
+            acc = None
+            for _, sketch in self._parts(cells, bounds, config):
+                acc = sketch if acc is None else acc.merge(sketch)
+            result = acc.finalize(tau_1=10)
+            assert result.data_type == "string"
+            assert result.missing_count == 3
+            assert result.distinct_count == len(set(map(encode_value, present)))
+            assert set(result.samples_pool) <= set(map(_format_value, present))
 
     def test_small_column_stays_exact(self):
         config = SketchConfig(seed=0)

@@ -13,6 +13,7 @@ The contracts under test (see ``docs/streaming_catalog.md``):
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -155,6 +156,8 @@ class TestIncrementalFingerprint:
             ([1.5, -0.0, None, float("nan"), 3.0] * 20, "numeric"),
             (["a", None, "b", "", "c"] * 20, "string"),
             ([True, False, None, True] * 20, "boolean"),
+            # no distinct key: parsed and encoded cell by cell
+            ([Decimal("2.5"), Decimal("2.50"), None, ["x"], "a"] * 20, "string"),
         ],
     )
     def test_matches_batch_fingerprint(self, values, kind):

@@ -12,11 +12,17 @@ built from the same coercion primitives (``_infer_kind`` /
 
 import math
 import random
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from repro.catalog.cache import ProfileCache, column_fingerprint
+from repro.catalog.cache import (
+    ProfileCache,
+    _encode_one,
+    column_fingerprint,
+    encode_object_values,
+)
 from repro.catalog.profiler import profile_table
 from repro.table.column import (
     Column,
@@ -25,6 +31,7 @@ from repro.table.column import (
     _infer_kind,
     _is_missing_scalar,
     _to_bool,
+    factorize,
 )
 from repro.table.ops import drop_duplicate_rows, sort_by, stack_tables
 from repro.table.table import Table
@@ -127,6 +134,100 @@ def test_signed_zero_survives_encoding(values):
     col = Table.from_dict({"a": values})["a"]
     assert col.kind is kind
     assert _signs(col.to_list()) == _signs(cells)
+
+
+@pytest.mark.parametrize("kind", [None, "numeric", "string"])
+def test_unkeyable_cells_match_reference(kind):
+    # no distinct key for these cells: each takes its own slot
+    values = [Decimal("2.5"), Decimal("2.50"), None, ["x"], "a", Decimal("2.5")]
+    col = Column("c", values, kind=kind)
+    ref_kind, cells = ref_coerce(values, kind=kind)
+    assert col.kind is ref_kind
+    assert col.to_list() == cells
+    assert col.unique() == ref_unique(cells)
+    assert col.value_counts() == ref_value_counts(cells)
+
+
+def test_signed_zero_survives_from_numpy():
+    # from_numpy stores cells verbatim, so -0.0 must keep its own code
+    data = np.array([0.0, -0.0, None], dtype=object)
+    col = Column.from_numpy("a", data, kind="string")
+    assert _signs(col.to_list()) == [1.0, -1.0, None]
+    same_sign = Column.from_numpy(
+        "a", np.array([0.0, 0.0, None], dtype=object), kind="string"
+    )
+    assert column_fingerprint(col) != column_fingerprint(same_sign)
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0],
+    [-0.0, 0.0, 0.0],
+    [1, True, 1.0, np.int64(1), np.float64(1.0), "1", None, 1],
+    [0.0, "a", -0.0, "a"],
+])
+def test_encode_object_values_is_per_cell_encoding(values):
+    assert encode_object_values(values) == b"".join(map(_encode_one, values))
+
+
+# -- the distinct-value key -----------------------------------------------------
+
+_NAN = float("nan")
+_KEY_POOL = [
+    True, False, 1, 0, 1.0, 0.0, -0.0, 2.5,
+    np.int64(1), np.int64(0), np.float64(1.0), np.float64(-0.0),
+    np.float32(-0.0), np.bool_(True), np.bool_(False),
+    _NAN, np.float64("nan"), None, "1", "0", "a", "", "True", np.str_("a"),
+]
+# at most one numeric type: equal numbers share a type, zeros aside
+_ONE_NUMBER_POOL = [0.0, -0.0, 2.5, _NAN, None, "0", "a", "", np.str_("a")]
+
+
+def _ref_key(value):
+    """Rendering identity, one cell at a time: (type, value, signbit)."""
+    sign = isinstance(value, (int, float, np.number, np.bool_)) and bool(
+        np.signbit(value)
+    )
+    return (type(value), value, sign)
+
+
+def ref_factorize(values):
+    index, first = {}, []
+    codes = []
+    for i, value in enumerate(values):
+        key = _ref_key(value)
+        if key not in index:
+            index[key] = len(first)
+            first.append(i)
+        codes.append(index[key])
+    return first, codes
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_factorize_matches_per_cell_typed_key(seed):
+    rng = random.Random(seed)
+    # random sub-pools, so both the value-keyed and the type-keyed path run
+    full = _ONE_NUMBER_POOL if seed % 2 else _KEY_POOL
+    pool = rng.sample(full, rng.randrange(1, len(full) + 1))
+    values = [rng.choice(pool) for _ in range(rng.randrange(0, 60))]
+    if rng.random() < 0.3:
+        values.append(float("nan"))  # a fresh NaN object: its own slot
+    first, ref_codes = ref_factorize(values)
+    distinct, codes = factorize(values)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == ref_codes
+    assert len(distinct) == len(first)
+    assert all(d is values[i] for d, i in zip(distinct, first))
+
+
+@pytest.mark.parametrize("values", [
+    ["a", ["unhashable"], "b"],
+    [1, {"k": 1}],
+    [Decimal("1"), Decimal("1.0")],
+    ["x", Decimal("2")],
+    [(1, 2), (1, 2)],
+])
+def test_factorize_rejects_unkeyable_cells(values):
+    assert factorize(values) is None
 
 
 @pytest.mark.parametrize("seed", range(6))
