@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.analysis.dataflow import Taint, is_testish, is_trainish, undefined_uses
+from repro.analysis.dataflow import Taint, undefined_uses
 from repro.analysis.rules import AnalysisContext, Finding, Severity
 from repro.analysis.signatures import (
     check_call,
@@ -233,14 +233,6 @@ class BannedApiRule:
             line=line,
             error_type=error_type,
         )
-
-
-def _is_testish(name: str) -> bool:
-    return is_testish(name)
-
-
-def _is_trainish(name: str) -> bool:
-    return is_trainish(name)
 
 
 def _expr_label(expr: ast.AST) -> str:

@@ -15,28 +15,24 @@ from __future__ import annotations
 
 import ast
 import inspect
-from typing import Any, Callable
 
 __all__ = [
     "signature_table",
     "method_table",
-    "has_random_state",
     "check_call",
     "check_method_call",
 ]
 
 _SIGNATURES: dict[str, inspect.Signature] | None = None
 _METHODS: dict[str, dict[str, inspect.Signature]] | None = None
-_RANDOM_STATE: set[str] | None = None
 
 
 def _build() -> None:
-    global _SIGNATURES, _METHODS, _RANDOM_STATE
+    global _SIGNATURES, _METHODS
     import repro.ml as ml
 
     signatures: dict[str, inspect.Signature] = {}
     methods: dict[str, dict[str, inspect.Signature]] = {}
-    random_state: set[str] = set()
     for name in ml.__all__:
         obj = getattr(ml, name, None)
         if obj is None or not callable(obj):
@@ -46,8 +42,6 @@ def _build() -> None:
         except (TypeError, ValueError):  # pragma: no cover - C callables
             continue
         signatures[name] = sig
-        if "random_state" in sig.parameters:
-            random_state.add(name)
         if inspect.isclass(obj):
             table: dict[str, inspect.Signature] = {}
             for attr_name, attr in inspect.getmembers(obj, callable):
@@ -60,7 +54,6 @@ def _build() -> None:
             methods[name] = table
     _SIGNATURES = signatures
     _METHODS = methods
-    _RANDOM_STATE = random_state
 
 
 def signature_table() -> dict[str, inspect.Signature]:
@@ -77,14 +70,6 @@ def method_table() -> dict[str, dict[str, inspect.Signature]]:
         _build()
     assert _METHODS is not None
     return _METHODS
-
-
-def has_random_state(name: str) -> bool:
-    """Whether this estimator's constructor accepts ``random_state``."""
-    if _RANDOM_STATE is None:
-        _build()
-    assert _RANDOM_STATE is not None
-    return name in _RANDOM_STATE
 
 
 def _check_against(
@@ -155,8 +140,3 @@ def check_method_call(class_name: str, method: str, node: ast.Call) -> str | Non
             f"{class_name!r} object has no method {method!r}"
         )
     return _check_against(sig, node, bound=True)
-
-
-def public_callable(obj: Any) -> Callable[..., Any] | None:  # pragma: no cover
-    """Kept for introspection/debugging from the REPL."""
-    return obj if callable(obj) else None

@@ -1,9 +1,10 @@
 """Content-fingerprint-keyed cache for per-column profiling artifacts.
 
 Profiling derives two expensive per-column artifacts: the 300-dim hashed
-bag-of-values embedding and the hashed value set (both cost one md5 per
-cell).  ``pairwise_similarities`` and ``find_inclusion_dependencies``
-each need them for every column, and catalog refinement re-profiles the
+bag-of-values embedding and the hashed value set.  Both come from one
+token-stats pass that costs one md5 per distinct token.
+``pairwise_similarities`` and ``find_inclusion_dependencies`` each need
+them for every column, and catalog refinement re-profiles the
 (mostly unchanged) table a second time.  Keying by a *content*
 fingerprint — not column name or object identity — means any two columns
 with identical values share one computation, across calls and across
@@ -11,7 +12,7 @@ tables.
 
 The fingerprint hashes the raw storage buffers (numeric columns) or the
 value tuple (object columns), which is one to two orders of magnitude
-cheaper than the md5-per-cell work it saves.  Entries are evicted LRU so
+cheaper than the token-stats work it saves.  Entries are evicted LRU so
 the cache stays memory-bounded under sustained traffic.
 """
 
@@ -147,43 +148,23 @@ class ProfileCache:
         key = ("stats", *fingerprint)
         return self._get_or_compute(key, lambda: _column_token_stats(column))
 
-    def embedding(self, column: Column, sample_cap: int | None = None) -> np.ndarray:
+    def embedding(self, column: Column) -> np.ndarray:
         """Cached :func:`repro.catalog.embeddings.column_embedding`."""
-        from repro.catalog.embeddings import (
-            EMBED_SAMPLE_CAP,
-            _embedding_from_stats,
-            column_embedding,
-        )
+        from repro.catalog.embeddings import _embedding_from_stats
 
         fingerprint = column_fingerprint(column)
-        if sample_cap is not None and sample_cap != EMBED_SAMPLE_CAP:
-            key = ("embedding", sample_cap, *fingerprint)
-            return self._get_or_compute(
-                key, lambda: column_embedding(column, sample_cap=sample_cap)
-            )
-        key = ("embedding", EMBED_SAMPLE_CAP, *fingerprint)
         return self._get_or_compute(
-            key,
+            ("embedding", *fingerprint),
             lambda: _embedding_from_stats(self._token_stats(column, fingerprint)),
         )
 
-    def hash_set(self, column: Column, sample_cap: int | None = None) -> set[int]:
-        """Cached :func:`repro.catalog.embeddings._value_hash_set`."""
-        from repro.catalog.embeddings import (
-            HASH_SAMPLE_CAP,
-            _hash_set_from_stats,
-            _value_hash_set,
-        )
+    def hash_set(self, column: Column) -> set[int]:
+        """Cached value-hash set (the inclusion-dependency artifact)."""
+        from repro.catalog.embeddings import _hash_set_from_stats
 
         fingerprint = column_fingerprint(column)
-        if sample_cap is not None and sample_cap != HASH_SAMPLE_CAP:
-            key = ("hash_set", sample_cap, *fingerprint)
-            return self._get_or_compute(
-                key, lambda: _value_hash_set(column, sample_cap=sample_cap)
-            )
-        key = ("hash_set", HASH_SAMPLE_CAP, *fingerprint)
         return self._get_or_compute(
-            key,
+            ("hash_set", *fingerprint),
             lambda: _hash_set_from_stats(self._token_stats(column, fingerprint)),
         )
 

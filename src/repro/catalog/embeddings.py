@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.table.column import Column, ColumnKind
+from repro.sketch.accumulators import canonical_token
+from repro.table.column import _IS_NONE, Column, ColumnKind
 from repro.table.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -42,19 +43,17 @@ __all__ = [
     "find_inclusion_dependencies",
     "similarities_from_vectors",
     "inclusions_from_hash_sets",
-    "similarity_matrix",
 ]
 
 
-def _resolve_cache(cache: "ProfileCache | None | bool") -> "ProfileCache | None":
-    """``None`` -> process-wide default cache; ``False`` -> no caching."""
-    if cache is False:
-        return None
+def _resolve_cache(cache: "ProfileCache | None") -> "ProfileCache":
+    """``None`` -> the process-wide default cache."""
     if cache is None:
         from repro.catalog.cache import get_default_cache
 
         return get_default_cache()
     return cache
+
 
 EMBEDDING_DIM = 300
 
@@ -62,44 +61,50 @@ EMBED_SAMPLE_CAP = 2000
 HASH_SAMPLE_CAP = 5000
 
 
-def _bucket(token: str) -> tuple[int, float]:
-    digest = hashlib.md5(token.encode("utf-8")).hexdigest()
-    index = int(digest[:8], 16) % EMBEDDING_DIM
-    sign = 1.0 if int(digest[8], 16) % 2 == 0 else -1.0
-    return index, sign
-
-
 def _column_token_stats(
     column: Column,
     embed_cap: int = EMBED_SAMPLE_CAP,
     hash_cap: int = HASH_SAMPLE_CAP,
 ) -> list[tuple[int, int, float, int]]:
-    """One scan feeding both the embedding and the value-hash set.
+    """One pass feeding both the embedding and the value-hash set.
 
-    Returns, per *distinct* canonical token in first-seen order, the tuple
-    ``(count_within_first_embed_cap_values, bucket_index, sign, hash12)``.
-    One md5 per distinct token replaces one md5 per cell — the dominant
-    profiling cost on repetitive (categorical) columns.
+    Returns, per admitted *distinct* canonical token in first-seen order,
+    the tuple ``(count_within_first_embed_cap_values, bucket_index, sign,
+    hash12)``.  Admission follows a scan over the present cells: every
+    token in the first ``embed_cap`` cells is counted, and the scan stops
+    at the first position at or past that window where the distinct-token
+    count has reached ``hash_cap``; the token at that position is still
+    admitted (with count 0 if it is new).
+
+    The cells are deduplicated by storage slot (the float value, or the
+    pool code of a dictionary-encoded column) with one ``np.unique``, so
+    each slot is canonicalized once, in first-seen order, up to the stop,
+    and each distinct token costs one md5.
     """
-    if column.kind is ColumnKind.NUMERIC:
-        fast = _numeric_token_stats(column, embed_cap, hash_cap)
-        if fast is not None:
-            return fast
-    elif column.codes is not None:
-        return _dict_token_stats(column, embed_cap, hash_cap)
+    if column.codes is None:
+        cells = column.data[~column.missing]
+    else:
+        codes = column.codes
+        cells = codes[codes >= 0]
+        if cells.size:  # a pool value None (explicit from_numpy mask) is absent
+            is_none = _IS_NONE(column.pool).astype(bool)
+            if is_none.any():
+                cells = cells[~is_none[cells]]
+    if not cells.size:
+        return []
+    slots, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+    seen = np.argsort(first)
+    values = slots[seen] if column.codes is None else column.pool[slots[seen]]
+    window_counts = np.bincount(inverse[:embed_cap], minlength=slots.size)[seen]
     counts: dict[str, int] = {}
-    present = 0
-    for value in column.to_list():
-        if value is None:
-            continue
-        token = _canonical_token(value)
-        if token not in counts:
-            counts[token] = 0
-        if present < embed_cap:
-            counts[token] += 1
-            present += 1
-        elif len(counts) >= hash_cap:
-            break
+    for position, count, token in zip(
+        first[seen].tolist(),
+        window_counts.tolist(),
+        map(canonical_token, values.tolist()),
+    ):
+        if position > embed_cap and len(counts) >= hash_cap:
+            break  # the scan stopped at an earlier position past the window
+        counts[token] = counts.get(token, 0) + count
     return _stats_from_counts(counts.items())
 
 
@@ -115,91 +120,6 @@ def _stats_from_counts(
     return stats
 
 
-def _dict_token_stats(
-    column: Column, embed_cap: int, hash_cap: int
-) -> list[tuple[int, int, float, int]]:
-    """Token stats for dictionary-encoded columns via the codes.
-
-    Canonicalizes and md5-hashes once per distinct pool value, then
-    reproduces the seed scan's admission semantics exactly: every token
-    seen in the first ``embed_cap`` present cells is counted, the scan
-    admits (with count 0) tokens past that window until the distinct
-    count reaches ``hash_cap`` *at or after* the window edge, and the
-    cell at the break position is still admitted (including the
-    ``hash_cap=0`` immediate-break case).
-    """
-    codes = column.codes
-    pool_values = column.pool.tolist()
-    token_ids = np.empty(len(pool_values) + 1, dtype=np.int64)
-    token_ids[-1] = -1  # code -1 wraps here (missing cells)
-    tid_of: dict[str, int] = {}
-    tokens: list[str] = []
-    for code, value in enumerate(pool_values):
-        if value is None:  # seed scan skips None cells outright
-            token_ids[code] = -1
-            continue
-        token = _canonical_token(value)
-        tid = tid_of.get(token)
-        if tid is None:
-            tid = len(tokens)
-            tid_of[token] = tid
-            tokens.append(token)
-        token_ids[code] = tid
-    mapped = token_ids[codes]
-    stream = mapped[mapped >= 0]
-    m = stream.shape[0]
-    if m == 0:
-        return []
-    uniq_tids, first_pos = np.unique(stream, return_index=True)
-    if hash_cap and uniq_tids.shape[0] >= hash_cap:
-        p_star = max(embed_cap, int(np.sort(first_pos)[hash_cap - 1]))
-    elif hash_cap:
-        p_star = m - 1  # distinct count never reaches the cap: full scan
-    else:
-        p_star = embed_cap  # hash_cap=0 breaks right past the window
-    p_star = min(p_star, m - 1)
-    counts = np.bincount(stream[:embed_cap], minlength=len(tokens))
-    admitted = first_pos <= p_star
-    order = np.argsort(first_pos[admitted], kind="stable")
-    return _stats_from_counts(
-        (tokens[tid], int(counts[tid]))
-        for tid in uniq_tids[admitted][order].tolist()
-    )
-
-
-def _numeric_token_stats(
-    column: Column, embed_cap: int, hash_cap: int
-) -> list[tuple[int, int, float, int]] | None:
-    """C-speed token stats for float storage via ``np.unique``.
-
-    Valid because distinct floats map to distinct canonical tokens (float
-    repr is injective; ``-0.0``/``0.0`` both canonicalize to ``"0"`` and
-    compare equal, so ``np.unique`` merging them is consistent), and the
-    embedding accumulates integer-weighted ±1 terms, which float64 sums
-    exactly in any order.  Falls back to the ordered scan (returns None)
-    when the distinct count exceeds ``hash_cap``, where the cap truncation
-    depends on first-seen order.
-    """
-    present = column.data[~column.missing]
-    distinct = np.unique(present)
-    if hash_cap and distinct.size > hash_cap:
-        return None
-    if distinct.size > 0.5 * present.size:
-        return None  # near-continuous: dedup buys nothing, scan is cheaper
-    if embed_cap and present.size:
-        window_distinct, window_counts = np.unique(
-            present[:embed_cap], return_counts=True
-        )
-        counts = dict(zip(window_distinct.tolist(), window_counts.tolist()))
-    else:
-        window_distinct = present[:0]
-        counts = {}
-    values = distinct if hash_cap else window_distinct
-    return _stats_from_counts(
-        (_canonical_token(v), counts.get(v, 0)) for v in values.tolist()
-    )
-
-
 def _embedding_from_stats(stats: list[tuple[int, int, float, int]]) -> np.ndarray:
     vec = np.zeros(EMBEDDING_DIM, dtype=np.float64)
     for count, index, sign, _ in stats:
@@ -211,28 +131,18 @@ def _embedding_from_stats(stats: list[tuple[int, int, float, int]]) -> np.ndarra
     return vec
 
 
-def _hash_set_from_stats(
-    stats: list[tuple[int, int, float, int]], sample_cap: int = HASH_SAMPLE_CAP
-) -> set[int]:
+def _hash_set_from_stats(stats: list[tuple[int, int, float, int]]) -> set[int]:
     hashes: set[int] = set()
     for _, _, _, hash12 in stats:
         hashes.add(hash12)
-        if len(hashes) >= sample_cap:
+        if len(hashes) >= HASH_SAMPLE_CAP:
             break
     return hashes
 
 
-def column_embedding(column: Column, sample_cap: int = EMBED_SAMPLE_CAP) -> np.ndarray:
+def column_embedding(column: Column) -> np.ndarray:
     """Hashed bag-of-values embedding (L2-normalized, 300-dim)."""
-    return _embedding_from_stats(
-        _column_token_stats(column, embed_cap=sample_cap, hash_cap=0)
-    )
-
-
-def _canonical_token(value: Any) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value).strip().lower()
+    return _embedding_from_stats(_column_token_stats(column, hash_cap=0))
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -242,17 +152,10 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / denom)
 
 
-def _value_hash_set(column: Column, sample_cap: int = HASH_SAMPLE_CAP) -> set[int]:
-    return _hash_set_from_stats(
-        _column_token_stats(column, embed_cap=0, hash_cap=sample_cap),
-        sample_cap=sample_cap,
-    )
-
-
 def inclusion_coefficient(
     candidate: Column,
     reference: Column,
-    cache: "ProfileCache | None | bool" = None,
+    cache: "ProfileCache | None" = None,
 ) -> float:
     """Fraction of ``candidate``'s distinct values contained in ``reference``.
 
@@ -261,12 +164,8 @@ def inclusion_coefficient(
     inflate the estimate marginally — the documented accuracy trade-off.
     """
     resolved = _resolve_cache(cache)
-    if resolved is not None:
-        cand = resolved.hash_set(candidate)
-        ref = resolved.hash_set(reference)
-    else:
-        cand = _value_hash_set(candidate)
-        ref = _value_hash_set(reference)
+    cand = resolved.hash_set(candidate)
+    ref = resolved.hash_set(reference)
     if not cand:
         return 0.0
     return len(cand & ref) / len(cand)
@@ -337,29 +236,6 @@ def _cramers_v(a_vals: Sequence[Any], b_vals: Sequence[Any]) -> float:
     return float(np.sqrt(chi2 / (n * (k - 1))))
 
 
-def similarity_matrix(
-    table: Table, cache: "ProfileCache | None | bool" = None
-) -> np.ndarray:
-    """All-pairs cosine similarity as one (n_cols, n_cols) matmul.
-
-    Embeddings are L2-normalized (or zero for all-missing columns), so
-    stacking them into ``V`` makes ``V @ V.T`` the full cosine matrix —
-    zero rows contribute zero similarity, matching the pairwise
-    ``cosine_similarity`` convention.
-    """
-    resolved = _resolve_cache(cache)
-    vectors = [
-        resolved.embedding(table[name])
-        if resolved is not None
-        else column_embedding(table[name])
-        for name in table.column_names
-    ]
-    if not vectors:
-        return np.zeros((0, 0), dtype=np.float64)
-    stacked = np.stack(vectors)
-    return stacked @ stacked.T
-
-
 def similarities_from_vectors(
     names: Sequence[str],
     vectors: Sequence[np.ndarray],
@@ -382,17 +258,12 @@ def similarities_from_vectors(
 def pairwise_similarities(
     table: Table,
     threshold: float = 0.5,
-    cache: "ProfileCache | None | bool" = None,
+    cache: "ProfileCache | None" = None,
 ) -> dict[str, list[tuple[str, float]]]:
     """Per-column list of (other column, cosine similarity) above threshold."""
     resolved = _resolve_cache(cache)
     names = table.column_names
-    vectors = [
-        resolved.embedding(table[name])
-        if resolved is not None
-        else column_embedding(table[name])
-        for name in names
-    ]
+    vectors = [resolved.embedding(table[name]) for name in names]
     return similarities_from_vectors(names, vectors, threshold=threshold)
 
 
@@ -429,15 +300,10 @@ def inclusions_from_hash_sets(
 def find_inclusion_dependencies(
     table: Table,
     threshold: float = 0.95,
-    cache: "ProfileCache | None | bool" = None,
+    cache: "ProfileCache | None" = None,
 ) -> dict[str, list[str]]:
     """Columns whose value set is (approximately) contained in another's."""
     names = table.column_names
     resolved = _resolve_cache(cache)
-    hash_sets = {
-        name: resolved.hash_set(table[name])
-        if resolved is not None
-        else _value_hash_set(table[name])
-        for name in names
-    }
+    hash_sets = {name: resolved.hash_set(table[name]) for name in names}
     return inclusions_from_hash_sets(names, hash_sets, threshold=threshold)

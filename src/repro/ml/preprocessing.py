@@ -420,9 +420,16 @@ class FeatureHasher(BaseEstimator, TransformerMixin):
         return bucket, sign
 
 
-def _flatten_column(column: Any) -> Iterable[Any]:
-    """Accept a 1-D iterable or an (n, 1) array and yield scalar cells."""
-    arr = np.asarray(column, dtype=object)
+def _flatten_column(column: Any) -> np.ndarray:
+    """The cells of one column as a 1-D object array.
+
+    Only a real ``ndarray`` of shape ``(n, 1)`` is unwrapped.  Any other
+    iterable gives one cell per item, so list-valued cells stay whole,
+    whether ragged or not (``[["a", "b"], ["c", "d"]]``, ``[["a"], ["b"]]``).
+    """
+    if not isinstance(column, np.ndarray):
+        return np.fromiter(column, dtype=object)
+    arr = column.astype(object, copy=False)
     if arr.ndim == 2 and arr.shape[1] == 1:
         arr = arr[:, 0]
     if arr.ndim != 1:

@@ -11,7 +11,8 @@ streamable — no approximation, no ordering sensitivity:
   type heuristics (`_looks_like_list`, `_looks_like_sentence`) inspect.
 - :class:`TokenStats` counts canonical tokens with their first-seen row,
   feeding embeddings/hash-sets; the cap prunes by first-seen row, which
-  is the batch scan's truncation rule.
+  is the batch scan's truncation rule.  :func:`canonical_token` is the
+  one token form shared by the batch and streaming paths.
 - :class:`FingerprintAccumulator` feeds running md5 digests chunk-by-
   chunk so cache fingerprints never require materializing the column.
 """
@@ -27,6 +28,7 @@ __all__ = [
     "KindFlags",
     "FirstKEvidence",
     "TokenStats",
+    "canonical_token",
     "FingerprintAccumulator",
     "BOOLEAN_DOMAIN",
 ]
@@ -133,6 +135,19 @@ class FirstKEvidence:
     def canonical_state(self) -> tuple:
         self._prune()
         return tuple(sorted((row, repr(value)) for row, value in self._entries))
+
+
+def canonical_token(value: Any) -> str:
+    """The embedding/hash-set token of one present cell.
+
+    Integral floats print as integers (``2.0`` and ``"2"`` share a
+    token, and so do ``0.0`` and ``-0.0``).  Other floats print as
+    ``str`` does, which has no spaces or capitals to fold.  Everything
+    else is its stripped, lower-cased ``str``.
+    """
+    if isinstance(value, float):
+        return str(int(value)) if value.is_integer() else str(value)
+    return str(value).strip().lower()
 
 
 class TokenStats:

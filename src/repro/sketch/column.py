@@ -36,6 +36,7 @@ from repro.sketch.accumulators import (
     FirstKEvidence,
     KindFlags,
     TokenStats,
+    canonical_token,
 )
 from repro.sketch.base import SketchConfig
 from repro.sketch.heavyhitters import SpaceSavingSketch
@@ -52,12 +53,6 @@ from repro.table.column import (
 )
 
 __all__ = ["ColumnSketch", "ColumnSketchResult"]
-
-
-def _canonical_float_token(value: float) -> str:
-    if value.is_integer():
-        return str(int(value))
-    return str(value).strip().lower()
 
 
 class _NumericView:
@@ -95,7 +90,7 @@ class _NumericView:
         row_list = present_rows.tolist()
         self.kmv.update(values, row_list)
         self.heavy.update(values, row_list)
-        self.tokens.update((_canonical_float_token(v) for v in values), row_list)
+        self.tokens.update(map(canonical_token, values), row_list)
 
     def merge(self, other: "_NumericView") -> "_NumericView":
         self.n_missing += other.n_missing
@@ -139,6 +134,7 @@ class _StringView:
     def update(self, formatted: list[str], rows: list[int]) -> None:
         if not formatted:
             return
+        # canonical_token of a str, inlined: this runs once per cell
         lowered = [v.strip().lower() for v in formatted]
         if self.in_bool_domain:
             self.in_bool_domain = all(v in BOOLEAN_DOMAIN for v in lowered)

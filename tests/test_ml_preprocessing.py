@@ -171,6 +171,19 @@ class TestKHotEncoder:
         enc = KHotEncoder().fit([["a", "b"], ["b"]])
         assert set(enc.items_) == {"a", "b"}
 
+    def test_equal_length_list_cells(self):
+        # a list of equal-length lists is one column of list cells, not a
+        # 2-D array; single-item lists are cells too, not scalars
+        enc = KHotEncoder().fit([["a", "b"], ["c", "d"]])
+        assert set(enc.items_) == {"a", "b", "c", "d"}
+        out = enc.transform([["a", "b"], ["c", "d"]])
+        assert out.shape == (2, 4) and out.sum(axis=1).tolist() == [2.0, 2.0]
+        single = KHotEncoder().fit([["a"], ["b"]])
+        assert single.transform([["a"], ["b"]]).tolist() == (
+            single.transform(["a", "b"]).tolist()
+        )
+        assert single.transform(np.array([["a"], ["b"]], dtype=object)).shape == (2, 2)
+
     def test_unknown_items_ignored(self):
         enc = KHotEncoder().fit(["a"])
         assert enc.transform(["zz"]).sum() == 0.0

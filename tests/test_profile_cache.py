@@ -5,7 +5,6 @@ embeddings and value-hash sets are memoized by column content.
 """
 
 import numpy as np
-import pytest
 
 from repro.catalog.cache import (
     ProfileCache,
@@ -14,9 +13,11 @@ from repro.catalog.cache import (
     get_default_cache,
 )
 from repro.catalog.embeddings import (
+    column_embedding,
+    cosine_similarity,
     find_inclusion_dependencies,
+    inclusion_coefficient,
     pairwise_similarities,
-    similarity_matrix,
 )
 from repro.catalog.profiler import profile_table, spawn_column_rngs
 from repro.table.column import Column
@@ -175,16 +176,20 @@ class TestVectorizedSimilarities:
     def test_matches_uncached_pair_loop(self):
         rng = np.random.default_rng(1)
         table = _random_table(rng, 40, 6)
-        cached = pairwise_similarities(table, cache=ProfileCache())
-        uncached = pairwise_similarities(table, cache=False)
-        assert cached == uncached
-
-    def test_similarity_matrix_shape_and_diagonal(self):
-        table = Table.from_dict({"a": ["x"] * 5, "b": ["x"] * 5, "c": ["q"] * 5})
-        sims = similarity_matrix(table)
-        assert sims.shape == (3, 3)
-        assert np.allclose(np.diag(sims), 1.0)
-        assert sims[0, 1] == pytest.approx(1.0)
+        cache = ProfileCache()
+        cold = pairwise_similarities(table, cache=cache)
+        warm = pairwise_similarities(table, cache=cache)
+        assert cache.hits > 0
+        assert cold == warm == pairwise_similarities(table, cache=ProfileCache())
+        names = table.column_names
+        vectors = {name: column_embedding(table[name]) for name in names}
+        for a in names:
+            assert vectors[a].tobytes() == cache.embedding(table[a]).tobytes()
+            expected = {
+                b for b in names
+                if b != a and cosine_similarity(vectors[a], vectors[b]) >= 0.5
+            }
+            assert {b for b, _ in cold[a]} == expected
 
     def test_zero_vector_column_never_similar(self):
         table = Table.from_dict({"a": [None, None], "b": ["x", "y"]})
@@ -199,8 +204,15 @@ class TestVectorizedSimilarities:
             "pk": ["a", "b", "c"],
             "other": ["x", "y", "z"],
         })
-        cached = find_inclusion_dependencies(table, cache=ProfileCache())
-        uncached = find_inclusion_dependencies(table, cache=False)
-        assert cached == uncached
-        assert "pk" in cached["fk"]
+        cache = ProfileCache()
+        cold = find_inclusion_dependencies(table, cache=cache)
+        warm = find_inclusion_dependencies(table, cache=cache)
+        assert cache.hits > 0
+        assert cold == warm
+        assert "pk" in cold["fk"]
+        for a in table.column_names:
+            assert cold[a] == [
+                b for b in table.column_names
+                if b != a and inclusion_coefficient(table[a], table[b]) >= 0.95
+            ]
 
