@@ -3,8 +3,9 @@
 The headline number is warm pool-mode overhead versus in-process
 execution of the *same* generated pipeline: one pickle round-trip of the
 job tables over a pipe plus frame bookkeeping.  CI's bench job gates on
-the ratio (``benchmarks/make_bench_report.py`` fails the build when a
-warm pool execution costs more than 2x inproc on the clean pipeline).
+the ratio (the ``pool_overhead`` row of ``make_bench_report.GATES``
+fails the build when a warm pool execution costs more than 2x inproc on
+the clean pipeline).
 
 Also measured, informationally: the cold-spawn cost of a worker (paid
 once per ``max_jobs_per_worker`` jobs) and the price of containing a

@@ -251,8 +251,8 @@ def test_micro_static_analysis_flow_catalog(benchmark):
     The expensive configuration: per-scope CFG construction, the
     reaching-definitions/definite-assignment fixpoints, provenance-taint
     propagation, and the catalog-grounded ``schema-*`` rules all run.
-    This is the bench job's analyzer gate — ``make_bench_report.py
-    --max-analyzer-ms 15`` fails CI when the mean pass exceeds 15 ms,
+    This is the bench job's analyzer gate — the ``analyzer_ms`` row of
+    ``make_bench_report.GATES`` fails CI when the mean pass exceeds 15 ms,
     keeping the gate negligible next to an execution attempt (compare
     ``test_micro_pipeline_execution``).
     """

@@ -5,8 +5,9 @@ per-row Python implementation (embedded here, rebuilt from the per-cell
 coercion primitives the batch path keeps) and once through the
 dictionary-encoded vectorized path.  Every pair doubles as a parity
 check — both sides must produce bit-identical results before the timing
-counts.  The CI bench job gates on the measured ratios via
-``make_bench_report.py --min-ingest-speedup 3 --min-join-speedup 5``.
+counts.  The CI bench job gates on the measured ratios via the
+``ingest_speedup`` (>= 3x) and ``join_speedup`` (>= 5x) rows of
+``make_bench_report.GATES``.
 """
 
 from __future__ import annotations

@@ -9,18 +9,23 @@ the perf-trajectory sections (``table``, ``profile``, ``runner``,
 ``streaming``, ``execpool``, ``other``), and writes one consolidated
 report.
 
-This is also the bench job's gate: warm pool-mode execution of the
-clean generated pipeline (``test_execpool_pool_clean_warm``) must cost
-at most ``--max-pool-overhead`` times (default 2x) the in-process run
-(``test_execpool_inproc_clean``); with ``--max-analyzer-ms``, the
-flow-sensitive static-analysis pass with schema grounding
-(``test_micro_static_analysis_flow_catalog``) must average under that
-many milliseconds per pipeline; and with ``--min-ingest-speedup`` /
-``--min-join-speedup``, the dictionary-encoded data plane's
-seed-vs-encoded pairs (``bench_table_ops.py``) must beat the seed
-per-row implementation by at least those ratios.  Exits non-zero when
-a limit is exceeded *or* when a gated benchmark is missing — a gate
-that cannot measure is a failure, not a pass.
+This is also the bench job's gate.  Each row of :data:`GATES` bounds one
+benchmark's mean, or the ratio of two benchmarks' means, and one loop
+checks them all:
+
+- warm pool-mode execution of the clean generated pipeline
+  (``test_execpool_pool_clean_warm``) costs at most 2x the in-process
+  run (``test_execpool_inproc_clean``);
+- the flow-sensitive static-analysis pass with schema grounding
+  (``test_micro_static_analysis_flow_catalog``) averages at most 15 ms
+  per pipeline;
+- the dictionary-encoded data plane beats the seed per-row
+  implementation (``bench_table_ops.py``) at least 3x on CSV ingest +
+  profile and at least 5x on the 100k-row join.
+
+The verdicts go under the report's ``gates`` key.  The script exits
+non-zero when a bound is broken *or* when a gated benchmark is missing
+— a gate that cannot measure is a failure, not a pass.
 """
 
 from __future__ import annotations
@@ -30,13 +35,24 @@ import json
 import sys
 from typing import Any
 
-POOL_BENCH = "test_execpool_pool_clean_warm"
-INPROC_BENCH = "test_execpool_inproc_clean"
-ANALYZER_BENCH = "test_micro_static_analysis_flow_catalog"
-INGEST_SEED_BENCH = "test_table_ingest_profile_seed"
-INGEST_ENCODED_BENCH = "test_table_ingest_profile_encoded"
-JOIN_SEED_BENCH = "test_table_join_100k_seed"
-JOIN_ENCODED_BENCH = "test_table_join_100k_encoded"
+# name -> (benchmark, divisor benchmark or None, "max" | "min", bound).
+# With a divisor the gated value is the ratio of the two means (x);
+# without, the benchmark's mean in milliseconds.
+GATES: dict[str, tuple[str, str | None, str, float]] = {
+    "pool_overhead": (
+        "test_execpool_pool_clean_warm", "test_execpool_inproc_clean",
+        "max", 2.0,
+    ),
+    "analyzer_ms": ("test_micro_static_analysis_flow_catalog", None, "max", 15.0),
+    "ingest_speedup": (
+        "test_table_ingest_profile_seed", "test_table_ingest_profile_encoded",
+        "min", 3.0,
+    ),
+    "join_speedup": (
+        "test_table_join_100k_seed", "test_table_join_100k_encoded",
+        "min", 5.0,
+    ),
+}
 
 _SECTION_RULES = (
     ("table", ("test_table_",)),
@@ -91,97 +107,33 @@ def build_report(paths: list[str]) -> dict[str, Any]:
     }
 
 
-def check_pool_overhead(
-    report: dict[str, Any], max_ratio: float
-) -> tuple[bool, str]:
-    by_name = {
-        entry["name"]: entry
-        for entry in report["sections"].get("execpool", [])
+def check_gates(report: dict[str, Any]) -> tuple[bool, list[str]]:
+    """Check every :data:`GATES` row; record the verdicts under ``gates``."""
+    means = {
+        entry["name"]: entry["mean_s"]
+        for entries in report["sections"].values()
+        for entry in entries
     }
-    pool = by_name.get(POOL_BENCH)
-    inproc = by_name.get(INPROC_BENCH)
-    if pool is None or inproc is None:
-        return False, (
-            f"gate unmeasurable: need both {POOL_BENCH!r} and "
-            f"{INPROC_BENCH!r} in the execpool section "
-            f"(got {sorted(by_name)})"
+    results: dict[str, dict[str, Any]] = {}
+    verdicts = []
+    for name, (bench, divisor, limit, bound) in GATES.items():
+        missing = [b for b in (bench, divisor) if b is not None and b not in means]
+        if missing:
+            results[name] = {"passed": False, "missing": missing}
+            verdicts.append(f"{name} unmeasurable (missing {', '.join(missing)})")
+            continue
+        if divisor is None:
+            value, unit = means[bench] * 1000, " ms"
+        else:
+            value, unit = means[bench] / max(means[divisor], 1e-12), "x"
+        passed = value <= bound if limit == "max" else value >= bound
+        results[name] = {"value": value, limit: bound, "passed": passed}
+        verdicts.append(
+            f"{name} {value:.2f}{unit} ({limit} {bound:g}{unit})"
+            + ("" if passed else " FAILED")
         )
-    ratio = pool["mean_s"] / max(inproc["mean_s"], 1e-12)
-    verdict = (
-        f"pool overhead: {pool['mean_s'] * 1000:.1f} ms vs "
-        f"{inproc['mean_s'] * 1000:.1f} ms inproc = {ratio:.2f}x "
-        f"(limit {max_ratio:g}x)"
-    )
-    report["gate"] = {
-        "pool_mean_s": pool["mean_s"],
-        "inproc_mean_s": inproc["mean_s"],
-        "ratio": ratio,
-        "max_ratio": max_ratio,
-        "passed": ratio <= max_ratio,
-    }
-    return ratio <= max_ratio, verdict
-
-
-def check_analyzer_latency(
-    report: dict[str, Any], max_ms: float
-) -> tuple[bool, str]:
-    by_name = {
-        entry["name"]: entry
-        for entry in report["sections"].get("analysis", [])
-    }
-    bench = by_name.get(ANALYZER_BENCH)
-    if bench is None:
-        return False, (
-            f"gate unmeasurable: need {ANALYZER_BENCH!r} in the "
-            f"analysis section (got {sorted(by_name)})"
-        )
-    mean_ms = bench["mean_s"] * 1000
-    verdict = (
-        f"analyzer pass: {mean_ms:.2f} ms mean per pipeline "
-        f"(limit {max_ms:g} ms)"
-    )
-    report["analyzer_gate"] = {
-        "mean_ms": mean_ms,
-        "max_ms": max_ms,
-        "passed": mean_ms <= max_ms,
-    }
-    return mean_ms <= max_ms, verdict
-
-
-def check_speedup(
-    report: dict[str, Any],
-    gate_key: str,
-    label: str,
-    seed_name: str,
-    encoded_name: str,
-    min_ratio: float,
-) -> tuple[bool, str]:
-    """Gate on the seed-vs-encoded mean ratio of one ``table`` pair."""
-    by_name = {
-        entry["name"]: entry
-        for entry in report["sections"].get("table", [])
-    }
-    seed = by_name.get(seed_name)
-    encoded = by_name.get(encoded_name)
-    if seed is None or encoded is None:
-        return False, (
-            f"gate unmeasurable: need both {seed_name!r} and "
-            f"{encoded_name!r} in the table section (got {sorted(by_name)})"
-        )
-    ratio = seed["mean_s"] / max(encoded["mean_s"], 1e-12)
-    verdict = (
-        f"{label} speedup: {seed['mean_s'] * 1000:.1f} ms seed vs "
-        f"{encoded['mean_s'] * 1000:.1f} ms encoded = {ratio:.2f}x "
-        f"(floor {min_ratio:g}x)"
-    )
-    report[gate_key] = {
-        "seed_mean_s": seed["mean_s"],
-        "encoded_mean_s": encoded["mean_s"],
-        "speedup": ratio,
-        "min_speedup": min_ratio,
-        "passed": ratio >= min_ratio,
-    }
-    return ratio >= min_ratio, verdict
+    report["gates"] = results
+    return all(result["passed"] for result in results.values()), verdicts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -190,51 +142,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="pytest-benchmark JSON files")
     parser.add_argument("--out", default="BENCH_10.json",
                         help="consolidated report path")
-    parser.add_argument("--max-pool-overhead", type=float, default=2.0,
-                        help="fail when pool/inproc mean ratio exceeds this")
-    parser.add_argument("--max-analyzer-ms", type=float, default=None,
-                        help="fail when the flow-sensitive analyzer pass "
-                             "mean exceeds this many milliseconds")
-    parser.add_argument("--min-ingest-speedup", type=float, default=None,
-                        help="fail when vectorized CSV-ingest+profile is "
-                             "less than this many times faster than the "
-                             "seed per-row path")
-    parser.add_argument("--min-join-speedup", type=float, default=None,
-                        help="fail when the factorized 100k-row join is "
-                             "less than this many times faster than the "
-                             "seed per-row path")
-    parser.add_argument("--no-gate", action="store_true",
-                        help="collate only; skip all gates")
     args = parser.parse_args(argv)
 
     report = build_report(args.inputs)
-    ok, verdicts = True, []
-    if args.no_gate:
-        verdicts.append("gates skipped")
-    else:
-        pool_ok, verdict = check_pool_overhead(
-            report, args.max_pool_overhead
-        )
-        ok, verdicts = ok and pool_ok, verdicts + [verdict]
-        if args.max_analyzer_ms is not None:
-            analyzer_ok, verdict = check_analyzer_latency(
-                report, args.max_analyzer_ms
-            )
-            ok, verdicts = ok and analyzer_ok, verdicts + [verdict]
-        if args.min_ingest_speedup is not None:
-            ingest_ok, verdict = check_speedup(
-                report, "ingest_gate", "ingest+profile",
-                INGEST_SEED_BENCH, INGEST_ENCODED_BENCH,
-                args.min_ingest_speedup,
-            )
-            ok, verdicts = ok and ingest_ok, verdicts + [verdict]
-        if args.min_join_speedup is not None:
-            join_ok, verdict = check_speedup(
-                report, "join_gate", "join@100k",
-                JOIN_SEED_BENCH, JOIN_ENCODED_BENCH,
-                args.min_join_speedup,
-            )
-            ok, verdicts = ok and join_ok, verdicts + [verdict]
+    ok, verdicts = check_gates(report)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

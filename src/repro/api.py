@@ -152,12 +152,10 @@ def catdb_pipgen(
     if refine:
         refinement = refine_catalog(train, md, llm)
         md = refinement.catalog
-        from repro.catalog.materialize import materialize_refined
-
         train = refinement.table
-        test = materialize_refined(test, refinement.category_mappings)
-        # composite splits and numeric conversions must hit the test set too
-        test = _replay_structural_ops(test, refinement)
+        # category mappings, composite splits and numeric conversions
+        # must hit the test set too
+        test = refinement.apply_to(test)
 
     if beta <= 1:
         generator: CatDB = CatDB(
@@ -178,41 +176,3 @@ def catdb_pipgen(
         code=report.code, results=report.metrics, report=report,
         refinement=refinement,
     )
-
-
-def _replay_structural_ops(table: Table, refinement: RefinementResult) -> Table:
-    """Apply refinement structure changes (splits, numeric casts) to a new split."""
-    from repro.llm import semantics
-    from repro.table.column import Column
-
-    out = table
-    for op in refinement.operations:
-        name = op["column"]
-        if op["op"] == "composite_split" and name in out:
-            spec = semantics.detect_composite(out[name].unique())
-            if spec is None:
-                out = out.drop([name])
-                continue
-            parts: dict[str, list[Any]] = {p: [] for p in spec.parts}
-            for cell in out[name]:
-                split = spec.split(cell)
-                for part in spec.parts:
-                    parts[part].append(split[part])
-            out = out.drop([name])
-            for part_name in op["parts"]:
-                suffix = part_name.split("_")[-1]
-                values = parts.get(suffix) or parts.get(part_name)
-                if values is not None:
-                    out.add_column(Column(part_name, values))
-        elif op["op"] == "to_numeric" and name in out:
-            converted = out[name].astype_numeric()
-            out = Table(
-                (
-                    converted if existing == name else out[existing]
-                    for existing in out.column_names
-                ),
-                name=out.name,
-            )
-        elif op["op"] == "drop_constant" and name in out:
-            out = out.drop([name])
-    return out

@@ -25,6 +25,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.sketch.accumulators import encode_cell
 from repro.table.column import Column, ColumnKind, factorize
 
 __all__ = [
@@ -64,10 +65,10 @@ def column_fingerprint(column: Column) -> tuple:
         data_digest.update(column.data.tobytes())
     elif column.codes is not None:
         # encode once per distinct pool value, gather bytes by code
-        pool_bytes = [_encode_one(value) for value in column.pool.tolist()]
+        pool_bytes = [encode_cell(value) for value in column.pool.tolist()]
         ext = np.empty(len(pool_bytes) + 1, dtype=object)
         ext[:-1] = pool_bytes
-        ext[-1] = b"\xff\x00none"  # code -1 wraps here (missing cells)
+        ext[-1] = encode_cell(None)  # code -1 wraps here (missing cells)
         data_digest.update(b"".join(ext[column.codes].tolist()))
     else:
         data_digest.update(encode_object_values(column.data.tolist()))
@@ -78,24 +79,16 @@ def column_fingerprint(column: Column) -> tuple:
     return (column.kind.value, len(column), int(column.missing.sum()), content)
 
 
-def _encode_one(value: Any) -> bytes:
-    if value is None:
-        return b"\xff\x00none"
-    encoded = str(value).encode("utf-8", "surrogatepass")
-    return len(encoded).to_bytes(4, "little") + encoded
-
-
 def encode_object_values(values: list) -> bytes:
     """Length-prefixed byte encoding of object-column cells.
 
-    Shared by the batch fingerprint above and the streaming per-chunk
-    byte producer, so both paths hash exactly the same octets: the
-    concatenation of ``_encode_one`` over the cells.  Repeated values are
+    The concatenation of ``encode_cell`` over the cells, the octets the
+    fingerprint above and the streaming chunk parse hash.  Repeated values are
     encoded once (factorize-then-gather); cells :func:`factorize` cannot
     key are encoded one by one.
     """
     distinct, codes = factorize(values) or (values, np.arange(len(values)))
-    encodings = list(map(_encode_one, distinct))
+    encodings = list(map(encode_cell, distinct))
     return b"".join(map(encodings.__getitem__, codes.tolist()))
 
 

@@ -23,6 +23,7 @@ from typing import Any
 
 from repro.catalog.catalog import ColumnProfile, DataCatalog
 from repro.catalog.feature_types import FeatureType
+from repro.catalog.materialize import materialize_refined
 from repro.catalog.profiler import profile_table
 from repro.llm import semantics
 from repro.llm.base import LLMClient
@@ -52,6 +53,42 @@ class RefinementResult:
     @property
     def n_refined_columns(self) -> int:
         return len(self.operations)
+
+    def apply_to(self, table: Table) -> Table:
+        """Replay this refinement on another split of the same data: the
+        category mappings, then the structural operations (composite
+        splits, numeric casts, constant drops) in log order."""
+        out = materialize_refined(table, self.category_mappings)
+        for op in self.operations:
+            name = op["column"]
+            if op["op"] == "composite_split" and name in out:
+                spec = semantics.detect_composite(out[name].unique())
+                if spec is None:
+                    out = out.drop([name])
+                    continue
+                parts: dict[str, list[Any]] = {p: [] for p in spec.parts}
+                for cell in out[name]:
+                    split = spec.split(cell)
+                    for part in spec.parts:
+                        parts[part].append(split[part])
+                out = out.drop([name])
+                for part_name in op["parts"]:
+                    suffix = part_name.split("_")[-1]
+                    values = parts.get(suffix) or parts.get(part_name)
+                    if values is not None:
+                        out.add_column(Column(part_name, values))
+            elif op["op"] == "to_numeric" and name in out:
+                converted = out[name].astype_numeric()
+                out = Table(
+                    (
+                        converted if existing == name else out[existing]
+                        for existing in out.column_names
+                    ),
+                    name=out.name,
+                )
+            elif op["op"] == "drop_constant" and name in out:
+                out = out.drop([name])
+        return out
 
 
 def _ask_feature_type(llm: LLMClient, name: str, samples: list[Any]) -> dict[str, Any]:

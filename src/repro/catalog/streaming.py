@@ -26,11 +26,9 @@ seeded deterministic estimates (see ``docs/streaming_catalog.md``).
 from __future__ import annotations
 
 import os
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 
-import numpy as np
-
-from repro.catalog.cache import ProfileCache, encode_object_values, get_default_cache
+from repro.catalog.cache import ProfileCache, get_default_cache
 from repro.catalog.catalog import ColumnProfile, DataCatalog, DatasetInfo
 from repro.catalog.embeddings import (
     _embedding_from_stats,
@@ -50,13 +48,7 @@ from repro.sketch import (
     PairSketch,
     SketchConfig,
 )
-from repro.table.column import (
-    _FALSE_TOKENS,
-    _TRUE_TOKENS,
-    _format_value,
-    _is_missing_scalar,
-    factorize,
-)
+from repro.sketch.column import _ColumnChunkArtifacts
 from repro.table.io_csv import DEFAULT_CHUNK_ROWS, CsvChunk, iter_csv_chunks
 from repro.table.table import Table
 
@@ -91,78 +83,6 @@ def chunks_from_table(
         yield CsvChunk(header=header, start_row=0, rows=[])
 
 
-class _ColumnChunkArtifacts:
-    """Per-chunk parse products shared by sketches, pairs, fingerprints."""
-
-    __slots__ = ("raw_mask", "floats", "num_mask", "tokens", "bools")
-
-    def __init__(self, values: list[Any]) -> None:
-        # parse/format/bool-probe once per distinct value, gather by code;
-        # cells factorize cannot key (unhashable, exotic) get a slot each
-        distinct, codes = factorize(values) or (values, np.arange(len(values)))
-        k = len(distinct)
-        d_missing = np.fromiter(
-            (_is_missing_scalar(v) for v in distinct), dtype=bool, count=k
-        )
-        d_floats = np.full(k, np.nan, dtype=np.float64)
-        d_num_bad = d_missing.copy()
-        d_tokens = np.empty(k, dtype=object)
-        d_bools = np.empty(k, dtype=object)
-        bool_chunk = True
-        for i, value in enumerate(distinct):
-            if d_missing[i]:
-                continue
-            try:
-                d_floats[i] = float(value)
-            except (TypeError, ValueError):
-                d_num_bad[i] = True
-            d_tokens[i] = _format_value(value)
-            if not bool_chunk:
-                continue
-            if isinstance(value, bool):
-                d_bools[i] = value
-            else:
-                lowered = str(value).strip().lower()
-                if lowered in _TRUE_TOKENS:
-                    d_bools[i] = True
-                elif lowered in _FALSE_TOKENS:
-                    d_bools[i] = False
-                else:
-                    bool_chunk = False  # not a boolean-coercible chunk
-        self.raw_mask = d_missing[codes]
-        self.floats = d_floats[codes]
-        self.num_mask = d_num_bad[codes]
-        self.tokens = d_tokens[codes].tolist()
-        self.bools = d_bools[codes].tolist() if bool_chunk else None
-
-    def view_bytes(self) -> dict[str, tuple[bytes, bytes, int, int]]:
-        """(data_bytes, mask_bytes, n, n_missing) per possible kind view,
-        matching the byte streams ``column_fingerprint`` hashes."""
-        n = len(self.tokens)
-        out = {
-            "numeric": (
-                self.floats.tobytes(),
-                self.num_mask.tobytes(),
-                n,
-                int(self.num_mask.sum()),
-            ),
-            "string": (
-                encode_object_values(self.tokens),
-                self.raw_mask.tobytes(),
-                n,
-                int(self.raw_mask.sum()),
-            ),
-        }
-        if self.bools is not None:
-            out["boolean"] = (
-                encode_object_values(self.bools),
-                self.raw_mask.tobytes(),
-                n,
-                int(self.raw_mask.sum()),
-            )
-        return out
-
-
 class _ChunkSummary:
     """Everything the profiler extracts from one chunk."""
 
@@ -193,11 +113,10 @@ def _summarize_chunk(
         sketches: list[ColumnSketch] = []
         view_bytes: list[dict] = []
         for index, name in enumerate(names):
-            values = chunk.column_values(index)
-            art = _ColumnChunkArtifacts(values)
+            art = _ColumnChunkArtifacts(chunk.column_values(index))
             artifacts.append(art)
             sketch = ColumnSketch(config, name, index)
-            sketch.update(values, chunk.start_row)
+            sketch.update(art, chunk.start_row)
             sketches.append(sketch)
             view_bytes.append(art.view_bytes())
         target_art = artifacts[target_index]

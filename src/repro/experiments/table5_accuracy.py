@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.baselines.cleaning import Learn2CleanLike, SagaLike
-from repro.catalog.materialize import materialize_refined
 from repro.catalog.refinement import refine_catalog
 from repro.experiments.common import (
     format_table,
@@ -104,18 +103,11 @@ def run(
         )
 
         def refine(prepared):
-            from repro.api import _replay_structural_ops
-
             refine_llm = MockLLM(llm_name, seed=seed, fault_injection=False)
             refinement = refine_catalog(
                 prepared.train, prepared.catalog, refine_llm
             )
-            refined_test = _replay_structural_ops(
-                materialize_refined(prepared.test,
-                                    refinement.category_mappings),
-                refinement,
-            )
-            return refinement, refined_test
+            return refinement, refinement.apply_to(prepared.test)
 
         graph.add(f"refine:{name}", refine, deps=(f"prepare:{name}",),
                   seed=seed)

@@ -74,18 +74,11 @@ def run(
         )
 
         def refine(prepared):
-            from repro.api import _replay_structural_ops
-            from repro.catalog.materialize import materialize_refined
-
             refine_llm = MockLLM(llm_name, seed=seed, fault_injection=False)
             refinement = refine_catalog(
                 prepared.train, prepared.catalog, refine_llm
             )
-            refined_test = _replay_structural_ops(
-                materialize_refined(prepared.test, refinement.category_mappings),
-                refinement,
-            )
-            return refinement, refined_test
+            return refinement, refinement.apply_to(prepared.test)
 
         graph.add(f"refine:{name}", refine, deps=(f"prepare:{name}",),
                   seed=seed)

@@ -144,8 +144,8 @@ class _GeneratorBase:
         self.exec_mode = exec_mode
         self.exec_memory_mb = exec_memory_mb
         # when on, statically-dirty code routes to repair without paying
-        # an execution; off reproduces the execute-everything behaviour
-        # (kept togglable for the exec-skip benchmark)
+        # an execution; off reproduces the execute-everything behaviour,
+        # which tests use as the reference the gate must agree with
         self.static_gate = static_gate
         # when on, mechanical error classes are rewritten by the
         # deterministic fix tier before the KB and the LLM are consulted

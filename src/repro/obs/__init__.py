@@ -3,7 +3,7 @@
 Three parts (see ``docs/observability.md``):
 
 - :mod:`repro.obs.trace` — nestable, thread-aware ``span()`` trees;
-- :mod:`repro.obs.metrics` — process-local counters / gauges / histograms;
+- :mod:`repro.obs.metrics` — process-local counters and gauges;
 - :mod:`repro.obs.ledger` — JSONL-persisted per-run records with
   listing, loading, and per-phase diffing;
 

@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges, and histogram summaries.
+"""Process-local metrics: counters and gauges.
 
 Metric keys follow a Prometheus-flavoured convention:
 ``name`` or ``name{label=value,...}`` with labels sorted, so snapshots
@@ -33,13 +33,12 @@ def metric_key(name: str, labels: dict[str, Any]) -> str:
 
 
 class MetricsRegistry:
-    """Thread-safe counters / gauges / histogram summaries."""
+    """Thread-safe counters and gauges."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
-        self._histograms: dict[str, dict[str, float]] = {}
 
     # -- instruments --------------------------------------------------------------
 
@@ -53,22 +52,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[key] = value
 
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        """Record one histogram observation (kept as a running summary)."""
-        key = metric_key(name, labels)
-        value = float(value)
-        with self._lock:
-            h = self._histograms.get(key)
-            if h is None:
-                self._histograms[key] = {
-                    "count": 1, "sum": value, "min": value, "max": value,
-                }
-            else:
-                h["count"] += 1
-                h["sum"] += value
-                h["min"] = min(h["min"], value)
-                h["max"] = max(h["max"], value)
-
     # -- reads --------------------------------------------------------------------
 
     def counter_value(self, name: str, **labels: Any) -> float:
@@ -78,31 +61,21 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, Any]:
         """Plain-dict view of everything recorded so far (JSON-ready)."""
         with self._lock:
-            histograms = {
-                key: {
-                    **h,
-                    "mean": h["sum"] / h["count"] if h["count"] else 0.0,
-                }
-                for key, h in self._histograms.items()
-            }
             return {
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
-                "histograms": histograms,
             }
 
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._histograms.clear()
 
     def __repr__(self) -> str:
         with self._lock:
             return (
                 f"MetricsRegistry(counters={len(self._counters)}, "
-                f"gauges={len(self._gauges)}, "
-                f"histograms={len(self._histograms)})"
+                f"gauges={len(self._gauges)})"
             )
 
 
@@ -113,9 +86,6 @@ class NullMetrics(MetricsRegistry):
         pass
 
     def gauge(self, name: str, value: float, **labels: Any) -> None:
-        pass
-
-    def observe(self, name: str, value: float, **labels: Any) -> None:
         pass
 
 

@@ -3,8 +3,10 @@
 These carry the pieces of the batch profiler's logic that are *exactly*
 streamable — no approximation, no ordering sensitivity:
 
-- :class:`KindFlags` replicates ``repro.table.column._infer_kind`` as
-  three OR-merged booleans, so the final :class:`ColumnKind` of a
+- :class:`KindFlags` OR-merges the ``(saw_bool, saw_number,
+  saw_string)`` evidence of ``repro.table.column._kind_evidence``, the
+  classifier batch ``_infer_kind`` reads too, and ranks it with the same
+  ``_kind_from_evidence``; so the final :class:`ColumnKind` of a
   streamed column equals what one batch ``Column(values)`` would infer.
 - :class:`FirstKEvidence` keeps the ``k`` present values with the
   smallest global row indices — the ``present[:k]`` window the feature-
@@ -14,7 +16,9 @@ streamable — no approximation, no ordering sensitivity:
   is the batch scan's truncation rule.  :func:`canonical_token` is the
   one token form shared by the batch and streaming paths.
 - :class:`FingerprintAccumulator` feeds running md5 digests chunk-by-
-  chunk so cache fingerprints never require materializing the column.
+  chunk so cache fingerprints never require materializing the column;
+  :func:`encode_cell` is the per-cell byte form both it and the batch
+  ``column_fingerprint`` hash.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Iterable
 
-from repro.table.column import _FALSE_TOKENS, _TRUE_TOKENS
+from repro.table.column import ColumnKind, _kind_evidence, _kind_from_evidence
 
 __all__ = [
     "KindFlags",
@@ -30,6 +34,7 @@ __all__ = [
     "TokenStats",
     "canonical_token",
     "FingerprintAccumulator",
+    "encode_cell",
     "BOOLEAN_DOMAIN",
 ]
 
@@ -42,7 +47,7 @@ BOOLEAN_DOMAIN = frozenset(
 
 
 class KindFlags:
-    """OR-merged evidence flags mirroring ``_infer_kind``."""
+    """OR-merged kind evidence, ranked as ``_infer_kind`` ranks it."""
 
     __slots__ = ("saw_bool", "saw_number", "saw_string")
 
@@ -51,18 +56,12 @@ class KindFlags:
         self.saw_number = False
         self.saw_string = False
 
-    def observe_token(self, token: str) -> None:
-        """Classify one non-missing raw CSV token exactly as ``_infer_kind``."""
-        lowered = token.strip().lower()
-        if lowered in _TRUE_TOKENS or lowered in _FALSE_TOKENS:
-            self.saw_bool = True
-            return
-        try:
-            float(token)
-        except ValueError:
-            self.saw_string = True
-        else:
-            self.saw_number = True
+    @classmethod
+    def of(cls, present: Iterable[Any]) -> "KindFlags":
+        """The evidence of some present (non-missing) cells."""
+        flags = cls()
+        flags.saw_bool, flags.saw_number, flags.saw_string = _kind_evidence(present)
+        return flags
 
     def merge(self, other: "KindFlags") -> "KindFlags":
         self.saw_bool = self.saw_bool or other.saw_bool
@@ -75,15 +74,8 @@ class KindFlags:
         clone.merge(self)
         return clone
 
-    def kind_name(self) -> str:
-        """`_infer_kind` precedence: string > number > bool > string."""
-        if self.saw_string:
-            return "string"
-        if self.saw_number:
-            return "numeric"
-        if self.saw_bool:
-            return "boolean"
-        return "string"
+    def kind(self) -> ColumnKind:
+        return _kind_from_evidence(self.saw_bool, self.saw_number, self.saw_string)
 
     def canonical_state(self) -> tuple:
         return (self.saw_bool, self.saw_number, self.saw_string)
@@ -261,3 +253,15 @@ class FingerprintAccumulator:
         clone.n = self.n
         clone.n_missing = self.n_missing
         return clone
+
+
+def encode_cell(value: Any) -> bytes:
+    """Length-prefixed bytes of one object cell in a fingerprint digest.
+
+    Length prefixes keep concatenations unambiguous; ``None`` (a
+    missing cell) has its own marker.
+    """
+    if value is None:
+        return b"\xff\x00none"
+    encoded = str(value).encode("utf-8", "surrogatepass")
+    return len(encoded).to_bytes(4, "little") + encoded

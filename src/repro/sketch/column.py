@@ -5,13 +5,21 @@ stream.  Raw cell values go in (CSV tokens or scalars from table
 shards); out comes every per-column field of a
 :class:`~repro.catalog.catalog.ColumnProfile`.
 
+Each chunk column is parsed once, by :class:`_ColumnChunkArtifacts`:
+one ``factorize``, then the missing probe, kind evidence, float parse,
+string format and bool probe once per distinct value, gathered by code.
+The sketch's kind flags, missing count and views, the streaming
+profiler's pair sketches and its fingerprint bytes all read that parse.
+
 Two complications drive the design:
 
 **Exact mode.**  While the column has at most ``exact_threshold`` rows
-the sketch just buffers ``(row, raw_value)`` pairs.  ``exact_column()``
-then rebuilds a real :class:`~repro.table.column.Column`, and the
-streaming profiler runs the *batch* profiler on it — small tables are
-bit-identical to the batch path by construction, not by re-implementation.
+the sketch just buffers the parsed chunks.  ``exact_column()`` then
+rebuilds a real :class:`~repro.table.column.Column` from their raw
+cells, and the streaming profiler runs the *batch* profiler on it —
+small tables are bit-identical to the batch path by construction, not
+by re-implementation.  Crossing the threshold replays the buffered
+parses into the views as one row-ordered batch; nothing is parsed again.
 
 **Kind is only known at the end.**  The batch path infers
 :class:`ColumnKind` from all values before coercing; a stream cannot.
@@ -20,13 +28,16 @@ in parallel — numeric (values parsed as floats), string (values
 formatted as the batch string coercion would), boolean — each with its
 own missing count, KMV distinct sketch, SpaceSaving counts, reservoir,
 and moments where applicable.  :class:`~repro.sketch.accumulators.KindFlags`
-replicates the batch kind inference; ``finalize`` picks the winning
-view.  Views that can no longer win (e.g. numeric once a non-numeric
-string appeared) are dropped on update/merge to reclaim memory.
+OR-merges the evidence of the batch kind classifier
+(``repro.table.column._kind_evidence``, shared, not copied);
+``finalize`` picks the winning view.  Views that can no longer win
+(e.g. numeric once a non-numeric string appeared) are dropped on
+update/merge to reclaim memory.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -37,6 +48,7 @@ from repro.sketch.accumulators import (
     KindFlags,
     TokenStats,
     canonical_token,
+    encode_cell,
 )
 from repro.sketch.base import SketchConfig
 from repro.sketch.heavyhitters import SpaceSavingSketch
@@ -44,15 +56,108 @@ from repro.sketch.kmv import KMVSketch
 from repro.sketch.moments import MomentsSketch
 from repro.sketch.reservoir import ReservoirSketch
 from repro.table.column import (
+    _FALSE_TOKENS,
+    _TRUE_TOKENS,
     Column,
     ColumnKind,
     _format_value,
     _is_missing_scalar,
-    _to_bool,
     factorize,
 )
 
 __all__ = ["ColumnSketch", "ColumnSketchResult"]
+
+
+class _ColumnChunkArtifacts:
+    """The one parse of one chunk column.
+
+    One :func:`factorize`; then, once per distinct value, the missing
+    probe, the kind evidence, the float parse, the string format and the
+    bool probe.  Per-cell arrays are gathers by code.  Cells factorize
+    cannot key get a slot each.
+
+    - ``raw_mask``: raw-missing cells; ``n_missing`` counts them.
+    - ``floats`` / ``num_mask``: the float parse (``nan`` / ``True``
+      where missing or unparseable).
+    - ``tokens``: the formatted cell (``None`` where missing), as a list.
+    - ``pool_tokens`` / ``pool_bools``: the per-slot format and boolean
+      coercion (``None`` at missing slots); ``pool_bools`` is ``None``
+      when some present cell is not boolean-coercible.
+    """
+
+    __slots__ = (
+        "values", "codes", "flags", "n_missing", "raw_mask", "floats",
+        "num_mask", "tokens", "pool_tokens", "pool_bools",
+    )
+
+    def __init__(self, values: list[Any]) -> None:
+        distinct, codes = factorize(values) or (values, np.arange(len(values)))
+        k = len(distinct)
+        d_missing = np.fromiter(
+            (_is_missing_scalar(v) for v in distinct), dtype=bool, count=k
+        )
+        d_floats = np.full(k, np.nan, dtype=np.float64)
+        d_num_bad = d_missing.copy()
+        d_tokens = np.empty(k, dtype=object)
+        d_bools = np.empty(k, dtype=object)
+        bool_chunk = True
+        present = []
+        for i, value in enumerate(distinct):
+            if d_missing[i]:
+                continue
+            present.append(value)
+            try:
+                d_floats[i] = float(value)
+            except (TypeError, ValueError):
+                d_num_bad[i] = True
+            d_tokens[i] = _format_value(value)
+            if not bool_chunk:
+                continue
+            if isinstance(value, bool):
+                d_bools[i] = value
+            else:
+                lowered = str(value).strip().lower()
+                if lowered in _TRUE_TOKENS:
+                    d_bools[i] = True
+                elif lowered in _FALSE_TOKENS:
+                    d_bools[i] = False
+                else:
+                    bool_chunk = False  # not a boolean-coercible chunk
+        self.values = values
+        self.codes = codes
+        self.flags = KindFlags.of(present)
+        self.raw_mask = d_missing[codes]
+        self.n_missing = int(self.raw_mask.sum())
+        self.floats = d_floats[codes]
+        self.num_mask = d_num_bad[codes]
+        self.tokens = d_tokens[codes].tolist()
+        self.pool_tokens = d_tokens
+        self.pool_bools = d_bools if bool_chunk else None
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def view_bytes(self) -> dict[str, tuple[bytes, bytes, int, int]]:
+        """(data_bytes, mask_bytes, n, n_missing) per possible kind view,
+        matching the byte streams ``column_fingerprint`` hashes."""
+        n, mask = len(self.values), self.raw_mask.tobytes()
+        out = {
+            "numeric": (
+                self.floats.tobytes(), self.num_mask.tobytes(), n,
+                int(self.num_mask.sum()),
+            ),
+            "string": (self._gather_encoded(self.pool_tokens), mask, n, self.n_missing),
+        }
+        if self.pool_bools is not None:
+            out["boolean"] = (
+                self._gather_encoded(self.pool_bools), mask, n, self.n_missing
+            )
+        return out
+
+    def _gather_encoded(self, pool: np.ndarray) -> bytes:
+        """Encode each slot once, gather the bytes by code."""
+        encodings = list(map(encode_cell, pool.tolist()))
+        return b"".join(map(encodings.__getitem__, self.codes.tolist()))
 
 
 class _NumericView:
@@ -176,26 +281,24 @@ class _BoolView:
     def __init__(self) -> None:
         self.counts: dict[bool, list[int]] = {}  # value -> [count, first_row]
 
-    def update(self, values: list[Any], rows: list[int]) -> None:
-        for value, row in zip(values, rows):
-            flag = _to_bool(value)
-            entry = self.counts.get(flag)
-            if entry is not None:
-                entry[0] += 1
-                if row < entry[1]:
-                    entry[1] = row
-            else:
-                self.counts[flag] = [1, row]
+    def update(self, flags: np.ndarray, rows: np.ndarray) -> None:
+        for flag in (False, True):
+            hit = rows[flags == flag]
+            if hit.size:
+                self._add(flag, int(hit.size), int(hit.min()))
+
+    def _add(self, flag: bool, count: int, row: int) -> None:
+        entry = self.counts.get(flag)
+        if entry is not None:
+            entry[0] += count
+            if row < entry[1]:
+                entry[1] = row
+        else:
+            self.counts[flag] = [count, row]
 
     def merge(self, other: "_BoolView") -> "_BoolView":
         for flag, (count, row) in other.counts.items():
-            entry = self.counts.get(flag)
-            if entry is not None:
-                entry[0] += count
-                if row < entry[1]:
-                    entry[1] = row
-            else:
-                self.counts[flag] = [count, row]
+            self._add(flag, count, row)
         return self
 
     def canonical_state(self) -> tuple:
@@ -234,8 +337,8 @@ class ColumnSketch:
         self.n_rows = 0
         self.n_missing = 0  # raw-missing (batch string/boolean coercion missing)
         self.flags = KindFlags()
-        # exact mode: every (row, raw_value) including missing cells
-        self._buffer: list[tuple[int, Any]] | None = []
+        # exact mode: every (start_row, parsed chunk) so far
+        self._buffer: list[tuple[int, _ColumnChunkArtifacts]] | None = []
         self.numeric: _NumericView | None = None
         self.string: _StringView | None = None
         self.boolean: _BoolView | None = None
@@ -248,86 +351,69 @@ class ColumnSketch:
 
     # -- updates ---------------------------------------------------------------
 
-    def update(self, values: list[Any], start_row: int) -> None:
-        """Fold one chunk of raw cell values starting at global ``start_row``."""
-        n = len(values)
+    def update(
+        self, values: "list[Any] | _ColumnChunkArtifacts", start_row: int
+    ) -> None:
+        """Fold one chunk starting at global ``start_row``: its raw cell
+        values, or their :class:`_ColumnChunkArtifacts` parse."""
+        parsed = (
+            values if isinstance(values, _ColumnChunkArtifacts)
+            else _ColumnChunkArtifacts(values)
+        )
+        n = len(parsed)
         if n == 0:
             return
         self.n_rows += n
-        self._observe_flags(values)
+        self.n_missing += parsed.n_missing
+        self.flags.merge(parsed.flags)
         if self._buffer is not None:
-            self._buffer.extend(
-                (start_row + offset, value) for offset, value in enumerate(values)
-            )
+            self._buffer.append((start_row, parsed))
             if self.n_rows > self.config.exact_threshold:
                 self._degrade()
             return
-        self._update_views(values, start_row)
+        self._drop_dead_views()  # flags cover this chunk already
+        self._feed_views([(start_row, parsed)])
 
-    def _observe_flags(self, values: list[Any]) -> None:
-        flags = self.flags
-        for value in values:
-            if _is_missing_scalar(value):
-                self.n_missing += 1
-            elif isinstance(value, bool):
-                flags.saw_bool = True
-            elif isinstance(value, (int, float, np.integer, np.floating)):
-                flags.saw_number = True
-            elif isinstance(value, str):
-                flags.observe_token(value)
-            else:
-                flags.saw_string = True
+    def _ordered_buffer(self) -> list[tuple[int, _ColumnChunkArtifacts]]:
+        assert self._buffer is not None
+        return sorted(self._buffer, key=lambda entry: entry[0])
 
     def _degrade(self) -> None:
         """Exact -> sketch: replay the buffer in row order as one batch."""
-        assert self._buffer is not None
-        buffer, self._buffer = sorted(self._buffer, key=lambda rv: rv[0]), None
+        buffer, self._buffer = self._ordered_buffer(), None
         self.numeric = _NumericView(self.config, self.position)
         self.string = _StringView(self.config, self.position)
         self.boolean = _BoolView()
         self._drop_dead_views()  # flags cover the buffer already
         if buffer:
-            rows = [row for row, _ in buffer]
-            values = [value for _, value in buffer]
-            self._feed_views(values, np.asarray(rows, dtype=np.int64))
+            self._feed_views(buffer)
 
-    def _update_views(self, values: list[Any], start_row: int) -> None:
-        self._drop_dead_views()  # flags cover this chunk already
-        rows = np.arange(start_row, start_row + len(values), dtype=np.int64)
-        self._feed_views(values, rows)
-
-    def _feed_views(self, values: list[Any], rows: np.ndarray) -> None:
-        # missing-probe / parse / format once per distinct value; cells
-        # factorize cannot key (unhashable, exotic) get a slot each
-        distinct, codes = factorize(values) or (values, np.arange(len(values)))
-        d_missing = np.fromiter(
-            (_is_missing_scalar(v) for v in distinct),
-            dtype=bool, count=len(distinct),
-        )
-        raw_mask = d_missing[codes]
-        present_idx = np.nonzero(~raw_mask)[0]
-        present = [values[i] for i in present_idx.tolist()]
-        present_rows = rows[present_idx]
+    def _feed_views(self, chunks: list[tuple[int, _ColumnChunkArtifacts]]) -> None:
+        """Feed the live views a row-ordered batch of parsed chunks."""
+        parses = [parsed for _, parsed in chunks]
+        rows = np.concatenate([
+            np.arange(start, start + len(parsed), dtype=np.int64)
+            for start, parsed in chunks
+        ])
+        present_rows = rows[~np.concatenate([p.raw_mask for p in parses])]
+        present_codes = [p.codes[~p.raw_mask] for p in parses]
         if self.numeric is not None:
-            d_parsed = np.full(len(distinct), np.nan, dtype=np.float64)
-            d_bad = d_missing.copy()
-            for j, value in enumerate(distinct):
-                if d_missing[j]:
-                    continue
-                try:
-                    d_parsed[j] = float(value)
-                except (TypeError, ValueError):
-                    d_bad[j] = True
-            self.numeric.update(d_parsed[codes], d_bad[codes], rows)
+            self.numeric.update(
+                np.concatenate([p.floats for p in parses]),
+                np.concatenate([p.num_mask for p in parses]),
+                rows,
+            )
         if self.string is not None:
-            d_fmt = np.empty(len(distinct), dtype=object)
-            for j, value in enumerate(distinct):
-                if not d_missing[j]:
-                    d_fmt[j] = _format_value(value)
-            formatted = d_fmt[codes[present_idx]].tolist()
-            self.string.update(formatted, present_rows.tolist())
+            formatted = np.concatenate([
+                p.pool_tokens[codes] for p, codes in zip(parses, present_codes)
+            ])
+            self.string.update(formatted.tolist(), present_rows.tolist())
         if self.boolean is not None:
-            self.boolean.update(present, present_rows.tolist())
+            # a live boolean view means every present cell coerced
+            flags = np.concatenate([
+                p.pool_bools[codes] for p, codes in zip(parses, present_codes)
+            ])
+            self.boolean.update(flags.astype(bool), present_rows)
 
     def _drop_dead_views(self) -> None:
         """Free views whose outcome the kind flags have ruled out."""
@@ -393,14 +479,15 @@ class ColumnSketch:
     # -- finalize ---------------------------------------------------------------
 
     def kind(self) -> ColumnKind:
-        return ColumnKind(self.flags.kind_name())
+        return self.flags.kind()
 
     def exact_column(self) -> Column | None:
         """Rebuild the real :class:`Column`; ``None`` once degraded."""
         if self._buffer is None:
             return None
-        ordered = sorted(self._buffer, key=lambda rv: rv[0])
-        return Column(self.name, [value for _, value in ordered])
+        return Column(self.name, list(chain.from_iterable(
+            parsed.values for _, parsed in self._ordered_buffer()
+        )))
 
     def finalize(self, tau_1: int = 10) -> ColumnSketchResult:
         """Summarize the degraded state into profile-shaped fields.
@@ -532,7 +619,9 @@ class ColumnSketch:
     def canonical_state(self) -> tuple:
         if self._buffer is not None:
             return ("exact", self.n_rows, self.n_missing, tuple(sorted(
-                (row, repr(value)) for row, value in self._buffer
+                (start + offset, repr(value))
+                for start, parsed in self._buffer
+                for offset, value in enumerate(parsed.values)
             )))
         return (
             "sketch",
@@ -548,5 +637,5 @@ class ColumnSketch:
         mode = "exact" if self._buffer is not None else "sketch"
         return (
             f"ColumnSketch(name={self.name!r}, mode={mode}, "
-            f"rows={self.n_rows}, kind={self.flags.kind_name()})"
+            f"rows={self.n_rows}, kind={self.flags.kind().value})"
         )

@@ -617,11 +617,15 @@ class Column:
         return self._data
 
 
-def _infer_kind(values: list[Any]) -> ColumnKind:
+def _kind_evidence(present: Iterable[Any]) -> tuple[bool, bool, bool]:
+    """``(saw_bool, saw_number, saw_string)`` over present (non-missing) cells.
+
+    The one kind classifier: batch :func:`_infer_kind` and the streaming
+    :class:`~repro.sketch.accumulators.KindFlags` both read it, so a
+    streamed column gets the kind one ``Column(values)`` would infer.
+    """
     saw_bool = saw_number = saw_string = False
-    for value in values:
-        if _is_missing_scalar(value):
-            continue
+    for value in present:
         if isinstance(value, bool):
             saw_bool = True
         elif isinstance(value, (int, float, np.integer, np.floating)):
@@ -639,6 +643,13 @@ def _infer_kind(values: list[Any]) -> ColumnKind:
                     saw_number = True
         else:
             saw_string = True
+    return saw_bool, saw_number, saw_string
+
+
+def _kind_from_evidence(
+    saw_bool: bool, saw_number: bool, saw_string: bool
+) -> ColumnKind:
+    """Precedence string > number > bool; no evidence at all is string."""
     if saw_string:
         return ColumnKind.STRING
     if saw_number:
@@ -646,6 +657,12 @@ def _infer_kind(values: list[Any]) -> ColumnKind:
     if saw_bool:
         return ColumnKind.BOOLEAN
     return ColumnKind.STRING
+
+
+def _infer_kind(values: list[Any]) -> ColumnKind:
+    return _kind_from_evidence(*_kind_evidence(
+        value for value in values if not _is_missing_scalar(value)
+    ))
 
 
 def _to_bool(value: Any) -> bool:

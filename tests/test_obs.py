@@ -173,19 +173,12 @@ class TestMetrics:
         assert metric_key("m", {"b": 2, "a": 1}) == "m{a=1,b=2}"
         assert metric_key("m", {}) == "m"
 
-    def test_counters_gauges_histograms(self, registry):
+    def test_counters_and_gauges(self, registry):
         registry.inc("hits")
         registry.inc("hits", 2)
         registry.gauge("depth", 7)
-        registry.observe("latency", 1.0)
-        registry.observe("latency", 3.0)
         snap = registry.snapshot()
-        assert snap["counters"]["hits"] == 3
-        assert snap["gauges"]["depth"] == 7
-        assert snap["histograms"]["latency"]["count"] == 2
-        assert snap["histograms"]["latency"]["mean"] == 2.0
-        assert snap["histograms"]["latency"]["min"] == 1.0
-        assert snap["histograms"]["latency"]["max"] == 3.0
+        assert snap == {"counters": {"hits": 3}, "gauges": {"depth": 7}}
 
     def test_counter_atomicity_under_threads(self, registry):
         n_threads, n_incs = 8, 1000
@@ -204,9 +197,8 @@ class TestMetrics:
     def test_null_metrics_records_nothing(self):
         NULL_METRICS.inc("x")
         NULL_METRICS.gauge("y", 1)
-        NULL_METRICS.observe("z", 1)
         snap = NULL_METRICS.snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert snap == {"counters": {}, "gauges": {}}
 
 
 class TestLedger:
@@ -257,6 +249,19 @@ class TestLedger:
         rendered = render_diff(diff)
         assert "per-phase wall time and tokens" in rendered
         assert "+50" in rendered
+
+    def test_records_with_histograms_still_load(self, tmp_path):
+        # records written while the registry had histograms keep the key
+        ledger = RunLedger(tmp_path)
+        for run_id, tokens in (("aaaa111111", 100), ("bbbb222222", 150)):
+            record = self._record(run_id, tokens=tokens)
+            record.metrics["histograms"] = {
+                "latency": {"count": 1, "sum": 1.0, "min": 1.0, "max": 1.0,
+                            "mean": 1.0},
+            }
+            ledger.append(record)
+        assert "run aaaa111111" in render_record(ledger.get("aaaa"))
+        assert "+50" in render_diff(ledger.diff("aaaa", "bbbb"))
 
     def test_get_unknown_and_ambiguous(self, tmp_path):
         ledger = RunLedger(tmp_path)

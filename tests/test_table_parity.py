@@ -19,11 +19,11 @@ import pytest
 
 from repro.catalog.cache import (
     ProfileCache,
-    _encode_one,
     column_fingerprint,
     encode_object_values,
 )
 from repro.catalog.profiler import profile_table
+from repro.sketch.accumulators import encode_cell
 from repro.table.column import (
     Column,
     ColumnKind,
@@ -166,7 +166,7 @@ def test_signed_zero_survives_from_numpy():
     [0.0, "a", -0.0, "a"],
 ])
 def test_encode_object_values_is_per_cell_encoding(values):
-    assert encode_object_values(values) == b"".join(map(_encode_one, values))
+    assert encode_object_values(values) == b"".join(map(encode_cell, values))
 
 
 # -- the distinct-value key -----------------------------------------------------
