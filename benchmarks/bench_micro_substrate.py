@@ -9,7 +9,7 @@ independently of the end-to-end replays.
 import numpy as np
 
 from repro.catalog.cache import clear_default_cache
-from repro.catalog.embeddings import pairwise_similarities
+from repro.catalog.embeddings import find_inclusion_dependencies, pairwise_similarities
 from repro.catalog.profiler import profile_table
 from repro.generation.executor import execute_pipeline_code
 from repro.llm.base import ResilientLLM
@@ -120,6 +120,18 @@ def test_micro_pairwise_similarities(benchmark):
 
     sims = benchmark(run)
     assert len(sims) == 61
+
+
+def test_micro_inclusion_dependencies(benchmark):
+    """Cold value-hash sets plus the all-pairs inclusion check."""
+    table = _substrate_table()
+
+    def run():
+        clear_default_cache()
+        return find_inclusion_dependencies(table)
+
+    inclusions = benchmark(run)
+    assert len(inclusions) == 61
 
 
 def test_micro_vectorizer(benchmark):

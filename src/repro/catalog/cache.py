@@ -11,9 +11,10 @@ with identical values share one computation, across calls and across
 tables.
 
 The fingerprint hashes the raw storage buffers (numeric columns) or the
-value tuple (object columns), which is one to two orders of magnitude
-cheaper than the token-stats work it saves.  Entries are evicted LRU so
-the cache stays memory-bounded under sustained traffic.
+encoded pool values gathered by code (dictionary-encoded columns), which
+is one to two orders of magnitude cheaper than the token-stats work it
+saves.  Entries are evicted LRU so the cache stays memory-bounded under
+sustained traffic.
 """
 
 from __future__ import annotations
@@ -21,17 +22,19 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.sketch.accumulators import encode_cell
-from repro.table.column import Column, ColumnKind, factorize
+from repro.table.column import Column, ColumnKind
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.catalog.embeddings import TokenDigests
 
 __all__ = [
     "ProfileCache",
     "column_fingerprint",
-    "encode_object_values",
     "get_default_cache",
     "clear_default_cache",
 ]
@@ -63,33 +66,18 @@ def column_fingerprint(column: Column) -> tuple:
     mask_digest = hashlib.md5()
     if column.kind is ColumnKind.NUMERIC:
         data_digest.update(column.data.tobytes())
-    elif column.codes is not None:
+    else:  # every non-numeric column is dictionary-encoded
         # encode once per distinct pool value, gather bytes by code
         pool_bytes = [encode_cell(value) for value in column.pool.tolist()]
         ext = np.empty(len(pool_bytes) + 1, dtype=object)
         ext[:-1] = pool_bytes
         ext[-1] = encode_cell(None)  # code -1 wraps here (missing cells)
         data_digest.update(b"".join(ext[column.codes].tolist()))
-    else:
-        data_digest.update(encode_object_values(column.data.tolist()))
     mask_digest.update(column.missing.tobytes())
     content: Any = hashlib.md5(
         data_digest.digest() + mask_digest.digest()
     ).hexdigest()
     return (column.kind.value, len(column), int(column.missing.sum()), content)
-
-
-def encode_object_values(values: list) -> bytes:
-    """Length-prefixed byte encoding of object-column cells.
-
-    The concatenation of ``encode_cell`` over the cells, the octets the
-    fingerprint above and the streaming chunk parse hash.  Repeated values are
-    encoded once (factorize-then-gather); cells :func:`factorize` cannot
-    key are encoded one by one.
-    """
-    distinct, codes = factorize(values) or (values, np.arange(len(values)))
-    encodings = list(map(encode_cell, distinct))
-    return b"".join(map(encodings.__getitem__, codes.tolist()))
 
 
 class ProfileCache:
@@ -134,7 +122,7 @@ class ProfileCache:
         """
         return self._get_or_compute(key, compute)
 
-    def _token_stats(self, column: Column, fingerprint: tuple) -> list:
+    def _token_stats(self, column: Column, fingerprint: tuple) -> TokenDigests:
         """Shared single-scan artifact behind embeddings and hash sets."""
         from repro.catalog.embeddings import _column_token_stats
 
@@ -151,8 +139,9 @@ class ProfileCache:
             lambda: _embedding_from_stats(self._token_stats(column, fingerprint)),
         )
 
-    def hash_set(self, column: Column) -> set[int]:
-        """Cached value-hash set (the inclusion-dependency artifact)."""
+    def hash_set(self, column: Column) -> np.ndarray:
+        """Cached value-hash set (the inclusion-dependency artifact), as a
+        sorted, distinct ``int64`` array."""
         from repro.catalog.embeddings import _hash_set_from_stats
 
         fingerprint = column_fingerprint(column)

@@ -15,14 +15,17 @@ in accuracy" (Section 3.1).  This module implements that shortcut:
 The pair-level metadata goes through the content-fingerprint
 :class:`~repro.catalog.cache.ProfileCache`: embeddings and value-hash
 sets are computed once per distinct column content (not once per call or
-per pair) and the all-pairs cosine similarity is a single matmul over the
-stacked embedding matrix instead of an O(n²) Python loop.
+per pair).  Everything past the one md5 per distinct token is array work:
+the digest fields are read from one buffer, the embedding is one
+``np.bincount``, the all-pairs cosine similarity is a single matmul over
+the stacked embedding matrix, and the all-pairs inclusion overlaps are one
+batched product of a column x shared-hash incidence matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,20 +64,34 @@ EMBED_SAMPLE_CAP = 2000
 HASH_SAMPLE_CAP = 5000
 
 
+class TokenDigests(NamedTuple):
+    """Per distinct canonical token, four aligned arrays in first-seen order.
+
+    ``counts`` is the token's count within the embedding window;
+    ``bucket`` (embedding index), ``sign`` (+1.0/-1.0) and ``hash12``
+    (value-hash) are read from the token's md5 digest.
+    """
+
+    counts: np.ndarray
+    bucket: np.ndarray
+    sign: np.ndarray
+    hash12: np.ndarray
+
+
 def _column_token_stats(
     column: Column,
     embed_cap: int = EMBED_SAMPLE_CAP,
     hash_cap: int = HASH_SAMPLE_CAP,
-) -> list[tuple[int, int, float, int]]:
+) -> TokenDigests:
     """One pass feeding both the embedding and the value-hash set.
 
-    Returns, per admitted *distinct* canonical token in first-seen order,
-    the tuple ``(count_within_first_embed_cap_values, bucket_index, sign,
-    hash12)``.  Admission follows a scan over the present cells: every
-    token in the first ``embed_cap`` cells is counted, and the scan stops
-    at the first position at or past that window where the distinct-token
-    count has reached ``hash_cap``; the token at that position is still
-    admitted (with count 0 if it is new).
+    Returns the :class:`TokenDigests` of the admitted *distinct* canonical
+    tokens in first-seen order, with counts over the first ``embed_cap``
+    present values.  Admission follows a scan over the present cells:
+    every token in the first ``embed_cap`` cells is counted, and the scan
+    stops at the first position at or past that window where the
+    distinct-token count has reached ``hash_cap``; the token at that
+    position is still admitted (with count 0 if it is new).
 
     The cells are deduplicated by storage slot (the float value, or the
     pool code of a dictionary-encoded column) with one ``np.unique``, so
@@ -91,7 +108,7 @@ def _column_token_stats(
             if is_none.any():
                 cells = cells[~is_none[cells]]
     if not cells.size:
-        return []
+        return _stats_from_counts(())
     slots, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
     seen = np.argsort(first)
     values = slots[seen] if column.codes is None else column.pool[slots[seen]]
@@ -108,36 +125,44 @@ def _column_token_stats(
     return _stats_from_counts(counts.items())
 
 
-def _stats_from_counts(
-    token_counts: "Sequence[tuple[str, int]] | Any",
-) -> list[tuple[int, int, float, int]]:
-    stats: list[tuple[int, int, float, int]] = []
-    for token, count in token_counts:
-        digest = hashlib.md5(token.encode("utf-8")).hexdigest()
-        index = int(digest[:8], 16) % EMBEDDING_DIM
-        sign = 1.0 if int(digest[8], 16) % 2 == 0 else -1.0
-        stats.append((count, index, sign, int(digest[:12], 16)))
-    return stats
+def _stats_from_counts(token_counts: Iterable[tuple[str, int]]) -> TokenDigests:
+    """Digest fields of ``(token, count)`` pairs: one md5 per token.
+
+    The digests are read as big-endian 32-bit words: ``bucket`` is word 0
+    mod :data:`EMBEDDING_DIM`, ``sign`` is +1 when the high nibble of
+    byte 4 is even, and ``hash12`` is bytes 0-5 (the first 12 hex digits).
+    """
+    pairs = list(token_counts)
+    md5 = hashlib.md5
+    digests = b"".join([md5(token.encode("utf-8")).digest() for token, _ in pairs])
+    words = np.frombuffer(digests, dtype=">u4").reshape(-1, 4)
+    head = words[:, 0].astype(np.int64)
+    return TokenDigests(
+        counts=np.array([count for _, count in pairs], dtype=np.int64),
+        bucket=(head % EMBEDDING_DIM).astype(np.intp),
+        sign=np.where((words[:, 1] >> 28) & 1, -1.0, 1.0),
+        hash12=(head << 16) | (words[:, 1] >> 16).astype(np.int64),
+    )
 
 
-def _embedding_from_stats(stats: list[tuple[int, int, float, int]]) -> np.ndarray:
-    vec = np.zeros(EMBEDDING_DIM, dtype=np.float64)
-    for count, index, sign, _ in stats:
-        if count:
-            vec[index] += sign * count
+def _embedding_from_stats(stats: TokenDigests) -> np.ndarray:
+    # integer-valued sums: exact in float64 whatever the summation order
+    vec = np.bincount(
+        stats.bucket, weights=stats.sign * stats.counts, minlength=EMBEDDING_DIM
+    )
     norm = float(np.linalg.norm(vec))
     if norm > 0:
         vec /= norm
     return vec
 
 
-def _hash_set_from_stats(stats: list[tuple[int, int, float, int]]) -> set[int]:
-    hashes: set[int] = set()
-    for _, _, _, hash12 in stats:
-        hashes.add(hash12)
-        if len(hashes) >= HASH_SAMPLE_CAP:
-            break
-    return hashes
+def _hash_set_from_stats(stats: TokenDigests) -> np.ndarray:
+    """Sorted distinct ``hash12`` values: the first ``HASH_SAMPLE_CAP``
+    distinct ones in first-seen order."""
+    distinct, first = np.unique(stats.hash12, return_index=True)
+    if distinct.size <= HASH_SAMPLE_CAP:
+        return distinct
+    return np.sort(stats.hash12[np.sort(first)[:HASH_SAMPLE_CAP]])
 
 
 def column_embedding(column: Column) -> np.ndarray:
@@ -166,9 +191,9 @@ def inclusion_coefficient(
     resolved = _resolve_cache(cache)
     cand = resolved.hash_set(candidate)
     ref = resolved.hash_set(reference)
-    if not cand:
+    if not cand.size:
         return 0.0
-    return len(cand & ref) / len(cand)
+    return np.intersect1d(cand, ref, assume_unique=True).size / cand.size
 
 
 def column_correlation(a: Column, b: Column) -> float:
@@ -269,32 +294,70 @@ def pairwise_similarities(
 
 def inclusions_from_hash_sets(
     names: Sequence[str],
-    hash_sets: "dict[str, set[int]]",
+    hash_sets: "dict[str, np.ndarray]",
     threshold: float = 0.95,
 ) -> dict[str, list[str]]:
-    """Inclusion lists from precomputed value-hash sets."""
+    """Inclusion lists from precomputed value-hash sets.
+
+    ``hash_sets`` maps each name to a sorted, distinct ``int64`` array.
+    Column ``a`` lists ``b`` when ``|a ∩ b| / |a| >= threshold``; all the
+    overlaps come from one incidence product (see :func:`_overlaps`).
+    """
     result: dict[str, list[str]] = {name: [] for name in names}
-    # sorted int64 arrays turn the O(n²) set intersections into C merges
-    arrays = {
-        name: np.sort(np.fromiter(hs, dtype=np.int64, count=len(hs)))
-        for name, hs in hash_sets.items()
-    }
-    for a in names:
-        size_a = len(arrays[a])
-        if not size_a:
-            continue
-        for b in names:
-            size_b = len(arrays[b])
-            if a == b or not size_b:
-                continue
-            if size_b < threshold * size_a:
-                continue  # |a ∩ b| <= |b| can never reach the threshold
-            overlap = np.intersect1d(
-                arrays[a], arrays[b], assume_unique=True
-            ).size
-            if overlap / size_a >= threshold:
-                result[a].append(b)
+    if not names:
+        return result
+    arrays = [hash_sets[name] for name in names]
+    sizes = np.array([array.size for array in arrays], dtype=np.int64)
+    size_a, size_b = sizes[:, None], sizes[None, :]
+    overlap = _overlaps(arrays)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = overlap / size_a
+    accept = (
+        ~np.eye(len(names), dtype=bool)
+        & (size_a > 0)
+        & (size_b > 0)
+        & ~(size_b < threshold * size_a)  # |a ∩ b| <= |b| cannot reach it
+        & (share >= threshold)
+    )
+    for a, b in zip(*(axis.tolist() for axis in np.nonzero(accept))):
+        result[names[a]].append(names[b])
     return result
+
+
+# The column x shared-token incidence matrix is multiplied in batches of at
+# most this many cells, so wide tables with large value sets stay small.
+_INCIDENCE_CELLS = 1 << 19
+
+
+def _overlaps(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``|a ∩ b|`` for every pair of sorted, distinct ``int64`` arrays.
+
+    Only hashes held by two or more arrays can add to an overlap, so the
+    0/1 incidence matrix has one column per such shared hash, and the
+    overlaps are its Gram matrix ``M @ M.T``, summed over batches of
+    shared hashes (float32 is exact: every sum is at most one array's size).
+    """
+    n = len(arrays)
+    pooled = np.concatenate(arrays)
+    order = np.argsort(pooled, kind="stable")
+    pooled = pooled[order]
+    owner = np.repeat(np.arange(n), [array.size for array in arrays])[order]
+    starts = np.flatnonzero(np.r_[True, pooled[1:] != pooled[:-1]])
+    run = np.diff(np.r_[starts, pooled.size])
+    shared = run >= 2
+    keep = np.repeat(shared, run)
+    token = np.repeat(np.cumsum(shared) - 1, run)[keep]
+    owner = owner[keep]
+    n_shared = int(shared.sum())
+    overlap = np.zeros((n, n), dtype=np.int64)
+    step = max(1, min(_INCIDENCE_CELLS // n, n_shared))
+    block = np.empty((n, step), dtype=np.float32)
+    for low in range(0, n_shared, step):
+        lo, hi = np.searchsorted(token, [low, low + step])
+        block.fill(0.0)
+        block[owner[lo:hi], token[lo:hi] - low] = 1.0
+        overlap += (block @ block.T).astype(np.int64)
+    return overlap
 
 
 def find_inclusion_dependencies(

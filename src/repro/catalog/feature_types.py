@@ -31,6 +31,8 @@ class FeatureType(str, enum.Enum):
 
 _LIST_DELIMITERS = (",", ";", "|")
 _WORD_RE = re.compile(r"[A-Za-z]{2,}")
+# the list and sentence detectors read only the first this-many present values
+_EVIDENCE_CAP = 200
 
 
 def infer_feature_type_heuristic(
@@ -67,7 +69,7 @@ def infer_feature_type_heuristic(
         n_rows=n_rows,
         all_integer=all_integer,
         in_boolean_domain=in_boolean_domain,
-        evidence=[str(v) for v in present],
+        evidence=[str(v) for v in present[:_EVIDENCE_CAP]],
     )
 
 
@@ -116,9 +118,9 @@ def infer_feature_type_from_stats(
     return FeatureType.CATEGORICAL
 
 
-def _looks_like_list(values: list[str], sample_cap: int = 200) -> bool:
+def _looks_like_list(values: list[str]) -> bool:
     """Delimiter-separated cells drawing on a shared small vocabulary."""
-    sample = values[:sample_cap]
+    sample = values[:_EVIDENCE_CAP]
     for delim in _LIST_DELIMITERS:
         multi = [v for v in sample if delim in v]
         if len(multi) < max(2, len(sample) // 4):
@@ -145,7 +147,7 @@ def _looks_like_sentence(values: list[str], distinct_fraction: float) -> bool:
     """Mostly-unique, multi-word strings read as sentence data."""
     if distinct_fraction < 0.5:
         return False
-    sample = values[:200]
+    sample = values[:_EVIDENCE_CAP]
     multi_word = sum(1 for v in sample if len(_WORD_RE.findall(v)) >= 2 or " " in v.strip())
     mixed_repr = sum(1 for v in sample if _WORD_RE.search(v) and re.search(r"\d", v))
     return (multi_word + mixed_repr) >= len(sample) // 2

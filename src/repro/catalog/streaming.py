@@ -31,6 +31,7 @@ from typing import Iterable, Iterator
 from repro.catalog.cache import ProfileCache, get_default_cache
 from repro.catalog.catalog import ColumnProfile, DataCatalog, DatasetInfo
 from repro.catalog.embeddings import (
+    TokenDigests,
     _embedding_from_stats,
     _hash_set_from_stats,
     _stats_from_counts,
@@ -379,7 +380,7 @@ def _memo_stats(
     cache_obj: ProfileCache,
     fingerprint: tuple | None,
     result: ColumnSketchResult,
-) -> list:
+) -> TokenDigests:
     """Token stats (embedding + hash-set precursor) via the cache.
 
     Keyed under a streaming-specific namespace: sketch-derived stats are

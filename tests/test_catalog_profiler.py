@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.catalog.catalog import ColumnProfile, DataCatalog, DatasetInfo
-from repro.catalog.feature_types import FeatureType
+from repro.catalog.feature_types import (
+    _BOOLEAN_DOMAIN,
+    FeatureType,
+    infer_feature_type_from_stats,
+    infer_feature_type_heuristic,
+)
 from repro.catalog.profiler import numeric_statistics, profile_dataset, profile_table
 from repro.table.column import Column
 from repro.table.table import Table
@@ -164,3 +169,54 @@ class TestDataCatalogStore:
     def test_feature_profiles_exclude_target(self, classification_catalog):
         names = [p.name for p in classification_catalog.feature_profiles()]
         assert "label" not in names
+
+
+def _full_evidence_type(values, distinct_fraction, is_numeric, n_rows):
+    """The heuristic as it was when ``evidence`` held every present cell."""
+    present = [v for v in values if v is not None]
+    if not present:
+        return FeatureType.CONSTANT
+    distinct = {str(v) for v in present}
+    lowered = {str(v).strip().lower() for v in present}
+    return infer_feature_type_from_stats(
+        n_present=len(present),
+        distinct_count=len(distinct),
+        distinct_fraction=distinct_fraction,
+        is_numeric=is_numeric,
+        n_rows=n_rows,
+        all_integer=False,
+        in_boolean_domain=not is_numeric and lowered <= _BOOLEAN_DOMAIN,
+        evidence=[str(v) for v in present],
+    )
+
+
+class TestFeatureTypeEvidence:
+    """The list/sentence detectors read the first 200 present values, so
+    stringifying only those must type every column as before."""
+
+    @staticmethod
+    def _columns():
+        codes = [f"k{i % 7}" for i in range(230)]
+        words = [f"w{i}" for i in range(230)]
+        lists = [f"x{i % 5}, x{(i + 1) % 5}, x{(i + 2) % 5}" for i in range(120)]
+        sentences = [f"the quick fox number {i} jumps" for i in range(120)]
+        return {
+            "lists_after_200": codes[:205] + lists,
+            "sentences_after_200": words[:210] + sentences,
+            "sentences_after_200_missing": [None] * 30 + words[:200] + sentences,
+            "lists_from_start": lists + codes,
+            "lists_inside_the_window": codes[:150] + lists,
+            "sentences_from_start": sentences + words,
+        }
+
+    def test_same_type_as_full_evidence(self):
+        seen = set()
+        for name, values in self._columns().items():
+            n_rows = len(values)
+            present = [v for v in values if v is not None]
+            fraction = len(set(present)) / n_rows
+            new = infer_feature_type_heuristic(values, fraction, False, n_rows)
+            assert new is _full_evidence_type(values, fraction, False, n_rows), name
+            seen.add(new)
+        # both detectors fire on the columns that start with their shape
+        assert {FeatureType.LIST, FeatureType.SENTENCE} <= seen

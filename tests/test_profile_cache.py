@@ -160,7 +160,7 @@ class TestProfileCache:
         cache = ProfileCache()
         first = cache.hash_set(Column("a", ["x", "y"]))
         second = cache.hash_set(Column("b", ["x", "y"]))
-        assert first == second and cache.hits == 1
+        assert np.array_equal(first, second) and cache.hits == 1
 
     def test_default_cache_used_by_metadata_passes(self):
         clear_default_cache()

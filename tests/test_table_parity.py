@@ -10,6 +10,7 @@ built from the same coercion primitives (``_infer_kind`` /
 ``_format_value`` / ``_to_bool``) the batch path keeps.
 """
 
+import hashlib
 import math
 import random
 from decimal import Decimal
@@ -17,11 +18,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from repro.catalog.cache import (
-    ProfileCache,
-    column_fingerprint,
-    encode_object_values,
-)
+from repro.catalog.cache import ProfileCache, column_fingerprint
 from repro.catalog.profiler import profile_table
 from repro.sketch.accumulators import encode_cell
 from repro.table.column import (
@@ -165,8 +162,13 @@ def test_signed_zero_survives_from_numpy():
     [1, True, 1.0, np.int64(1), np.float64(1.0), "1", None, 1],
     [0.0, "a", -0.0, "a"],
 ])
-def test_encode_object_values_is_per_cell_encoding(values):
-    assert encode_object_values(values) == b"".join(map(encode_cell, values))
+def test_fingerprint_is_per_cell_encoding(values):
+    # from_numpy keeps the cells verbatim: each is encoded with its own type
+    col = Column.from_numpy("c", np.array(values, dtype=object), kind="string")
+    assert [type(v) for v in col.to_list()] == [type(v) for v in values]
+    data = hashlib.md5(b"".join(map(encode_cell, values))).digest()
+    mask = hashlib.md5(col.missing.tobytes()).digest()
+    assert column_fingerprint(col)[3] == hashlib.md5(data + mask).hexdigest()
 
 
 # -- the distinct-value key -----------------------------------------------------

@@ -18,6 +18,13 @@ in two known ways, each pinned by its own test:
 - it gave an unmasked ``nan`` (float storage from ``Column.from_numpy``
   with an explicit mask) a count of 0, because ``nan`` never finds
   itself in a dict keyed by float.
+
+The token stats are now four aligned arrays, and the embedding, the
+value-hash set and the inclusion lists are array operations.  The tuple
+cores they replaced (``_stats_from_counts``, ``_embedding_from_stats``,
+``_hash_set_from_stats`` and the ``np.intersect1d`` pair loop of
+``inclusions_from_hash_sets``) are embedded below too, and every array
+field must equal its tuple counterpart, value for value and byte for byte.
 """
 
 from __future__ import annotations
@@ -27,13 +34,22 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.catalog import embeddings
+from repro.catalog.cache import ProfileCache
 from repro.catalog.embeddings import (
     EMBEDDING_DIM,
+    HASH_SAMPLE_CAP,
+    TokenDigests,
     _column_token_stats,
     _embedding_from_stats,
     _hash_set_from_stats,
+    _stats_from_counts,
+    find_inclusion_dependencies,
+    inclusion_coefficient,
+    inclusions_from_hash_sets,
 )
 from repro.table.column import Column, ColumnKind
+from repro.table.table import Table
 
 CAP_PAIRS = [(2000, 5000), (2000, 0), (0, 5000), (3, 2), (5, 3), (0, 1), (1, 0)]
 
@@ -55,6 +71,50 @@ def _ref_stats_from_counts(token_counts):
         sign = 1.0 if int(digest[8], 16) % 2 == 0 else -1.0
         stats.append((count, index, sign, int(digest[:12], 16)))
     return stats
+
+
+def _ref_embedding_from_stats(stats):
+    vec = np.zeros(EMBEDDING_DIM, dtype=np.float64)
+    for count, index, sign, _ in stats:
+        if count:
+            vec[index] += sign * count
+    norm = float(np.linalg.norm(vec))
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
+def _ref_hash_set_from_stats(stats):
+    hashes = set()
+    for _, _, _, hash12 in stats:
+        hashes.add(hash12)
+        if len(hashes) >= HASH_SAMPLE_CAP:
+            break
+    return hashes
+
+
+def _ref_inclusions_from_hash_sets(names, hash_sets, threshold=0.95):
+    result = {name: [] for name in names}
+    arrays = {
+        name: np.sort(np.fromiter(hs, dtype=np.int64, count=len(hs)))
+        for name, hs in hash_sets.items()
+    }
+    for a in names:
+        size_a = len(arrays[a])
+        if not size_a:
+            continue
+        for b in names:
+            size_b = len(arrays[b])
+            if a == b or not size_b:
+                continue
+            if size_b < threshold * size_a:
+                continue
+            overlap = np.intersect1d(
+                arrays[a], arrays[b], assume_unique=True
+            ).size
+            if overlap / size_a >= threshold:
+                result[a].append(b)
+    return result
 
 
 def _ref_scan(column, embed_cap, hash_cap):
@@ -237,8 +297,22 @@ COLUMNS = _columns()
 NAN_COLUMNS = _unmasked_nan_columns()
 
 
-def _embedding_bytes(stats):
-    return _embedding_from_stats(stats).tobytes()
+def _tuples(stats):
+    """Array stats as the old ``(count, bucket, sign, hash12)`` tuples."""
+    return list(zip(*(field.tolist() for field in stats)))
+
+
+def _ref_hash_array(stats):
+    return np.array(sorted(_ref_hash_set_from_stats(stats)), dtype=np.int64)
+
+
+def _same_embedding(new, ref):
+    return _embedding_from_stats(new).tobytes() == _ref_embedding_from_stats(ref).tobytes()
+
+
+def _same_hash_set(new, ref):
+    hashes = _hash_set_from_stats(new)
+    return hashes.dtype == np.int64 and np.array_equal(hashes, _ref_hash_array(ref))
 
 
 @pytest.mark.parametrize("embed_cap,hash_cap", CAP_PAIRS)
@@ -247,10 +321,10 @@ def test_matches_the_three_old_paths(embed_cap, hash_cap):
     for column in COLUMNS:
         new = _column_token_stats(column, embed_cap, hash_cap)
         ref = _ref_token_stats(column, embed_cap, hash_cap)
-        embedding_diffs += _embedding_bytes(new) != _embedding_bytes(ref)
+        embedding_diffs += not _same_embedding(new, ref)
         if hash_cap >= 1:
-            stats_diffs += sorted(new) != sorted(ref)
-            stats_diffs += _hash_set_from_stats(new) != _hash_set_from_stats(ref)
+            stats_diffs += sorted(_tuples(new)) != sorted(ref)
+            stats_diffs += not _same_hash_set(new, ref)
     assert embedding_diffs == 0
     assert stats_diffs == 0
 
@@ -260,23 +334,23 @@ def test_equals_the_ordered_scan(embed_cap, hash_cap):
     # the per-cell scan defines admission and first-seen order everywhere
     for column in COLUMNS + NAN_COLUMNS:
         new = _column_token_stats(column, embed_cap, hash_cap)
-        assert new == _ref_scan(column, embed_cap, hash_cap), column
+        assert _tuples(new) == _ref_scan(column, embed_cap, hash_cap), column
 
 
 def test_hash_cap_zero_follows_the_scan():
     column = Column("div", [2.5, 1e20, -3.0, 0.0] * 3)
     fast = _ref_numeric_token_stats(column, 1, 0)
-    new = _column_token_stats(column, 1, 0)
+    new = _tuples(_column_token_stats(column, 1, 0))
     assert len(fast) == 1 and len(new) == 2
     assert new[0] == fast[0] and new[1][0] == 0  # the break token, count 0
-    assert _embedding_bytes(new) == _embedding_bytes(fast)
+    assert _same_embedding(_column_token_stats(column, 1, 0), fast)
 
 
 def test_unmasked_nan_is_counted():
     nan_token = _ref_stats_from_counts([("nan", 0)])[0][1:]
     fast_paths = 0
     for column in NAN_COLUMNS:
-        new = _column_token_stats(column, 2000, 5000)
+        new = _tuples(_column_token_stats(column, 2000, 5000))
         n_nan = int(np.isnan(column.data).sum())
         assert [s[0] for s in new if s[1:] == nan_token] == [n_nan]
         fast = _ref_numeric_token_stats(column, 2000, 5000)
@@ -302,3 +376,168 @@ def test_cases_cover_every_old_path():
     )
     assert none_in_pool >= 5
     assert len(COLUMNS) * len(CAP_PAIRS) > 3000
+
+
+# -- the array cores against the tuple cores -------------------------------------
+
+
+def _random_tokens(rng, n):
+    alphabet = list("abcXYZ019 .-_é漢")
+    tokens = {""}
+    while len(tokens) < n:
+        length = int(rng.integers(1, 30))
+        tokens.add("".join(rng.choice(alphabet, length).tolist()))
+    return sorted(tokens)
+
+
+def _synthetic_stats(counts, bucket, sign, hash12):
+    return TokenDigests(
+        counts=np.asarray(counts, dtype=np.int64),
+        bucket=np.asarray(bucket, dtype=np.intp),
+        sign=np.asarray(sign, dtype=np.float64),
+        hash12=np.asarray(hash12, dtype=np.int64),
+    )
+
+
+def test_stats_fields_match_reference_digests():
+    rng = np.random.default_rng(22)
+    tokens = _random_tokens(rng, 3000)
+    for n in (0, 1, 2, 17, 3000):
+        pairs = [(t, int(rng.integers(0, 40))) for t in tokens[:n]]
+        new = _stats_from_counts(pairs)
+        ref = _ref_stats_from_counts(pairs)
+        dtypes = (np.int64, np.intp, np.float64, np.int64)
+        for index, (field, dtype) in enumerate(zip(new, dtypes)):
+            expected = np.array([stat[index] for stat in ref], dtype=dtype)
+            assert field.dtype == dtype, (n, new._fields[index])
+            assert field.tobytes() == expected.tobytes(), (n, new._fields[index])
+        if n >= 17:  # both signs and the full 48-bit hash range occur
+            assert set(new.sign.tolist()) == {1.0, -1.0}
+            assert int(new.hash12.max()) >= 1 << 46
+
+
+def test_embedding_matches_reference_with_cancellations():
+    rng = np.random.default_rng(23)
+    for n in (0, 1, 5, 60, 4000):
+        # few buckets: signed counts cancel and sum in many orders
+        bucket = rng.integers(0, 4 if n < 100 else EMBEDDING_DIM, n)
+        counts = rng.integers(0, 3000, n) * (rng.random(n) < 0.8)
+        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        stats = _synthetic_stats(counts, bucket, sign, np.arange(n))
+        ref = list(zip(counts.tolist(), bucket.tolist(), sign.tolist(), range(n)))
+        assert _same_embedding(stats, ref)
+    cancel = _synthetic_stats([3, 3], [7, 7], [1.0, -1.0], [1, 2])
+    assert _embedding_from_stats(cancel).tobytes() == np.zeros(EMBEDDING_DIM).tobytes()
+
+
+@pytest.mark.parametrize("n_stats,pool", [
+    (0, 1), (1, 1), (40, 3), (4999, 10**9), (5000, 10**9), (5001, 10**9),
+    (7000, 10**9), (12000, 6000), (12000, 4000),
+])
+def test_hash_set_matches_reference_with_collisions(n_stats, pool):
+    # distinct tokens whose hash12 collide: the cap counts distinct hashes,
+    # and which ones it keeps depends on first-seen order, not on size
+    rng = np.random.default_rng(n_stats + pool)
+    hash12 = rng.integers(0, pool, n_stats) * 7919 + (1 << 47)
+    stats = _synthetic_stats(np.ones(n_stats), np.zeros(n_stats), np.ones(n_stats), hash12)
+    ref = list(zip([1] * n_stats, [0] * n_stats, [1.0] * n_stats, hash12.tolist()))
+    assert _same_hash_set(stats, ref)
+    if np.unique(hash12).size > HASH_SAMPLE_CAP:
+        kept = _hash_set_from_stats(stats)
+        assert kept.size == HASH_SAMPLE_CAP
+        assert not np.array_equal(kept, np.unique(hash12)[:HASH_SAMPLE_CAP])
+
+
+THRESHOLDS = [0.0, 0.5, 0.95, 1.0]
+
+
+def _random_hash_sets(rng):
+    """Value-hash sets around the accept and skip boundaries."""
+    universe = rng.permutation(1 << 20)[:3000].astype(np.int64)
+    sets = {
+        "empty": set(),
+        "empty2": set(),
+        "pk": set(universe[:100].tolist()),
+        "fk95": set(universe[:95].tolist()),  # size right at 0.95 x pk
+        "fk94": set(universe[:94].tolist()),  # just under it
+        "pk_plus5": set(universe[:95].tolist()) | set(universe[2000:2005].tolist()),
+        "pk_plus6": set(universe[:94].tolist()) | set(universe[2000:2006].tolist()),
+        "same_pk": set(universe[:100].tolist()),
+        "single": {int(universe[0])},
+        "disjoint": set(universe[2500:2600].tolist()),
+    }
+    for i in range(12):
+        size = int(rng.integers(0, 400))
+        low = int(rng.integers(0, 2600))
+        sets[f"r{i}"] = set(universe[low : low + size].tolist())
+    names = list(sets)
+    rng.shuffle(names)
+    return names, sets
+
+
+def _arrays(sets):
+    return {name: np.array(sorted(hs), dtype=np.int64) for name, hs in sets.items()}
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_inclusions_match_the_pair_loop(seed, threshold):
+    names, sets = _random_hash_sets(np.random.default_rng(seed))
+    new = inclusions_from_hash_sets(names, _arrays(sets), threshold=threshold)
+    assert new == _ref_inclusions_from_hash_sets(names, sets, threshold=threshold)
+    if threshold == 0.95:
+        assert "pk" in new["fk95"] and "pk" in new["pk_plus5"]
+        assert "pk" not in new["pk_plus6"] and new["empty"] == []
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, 1000])
+def test_batched_product_matches_the_pair_loop(monkeypatch, cells):
+    names, sets = _random_hash_sets(np.random.default_rng(5))
+    shared = sum(
+        count >= 2
+        for count in np.unique(
+            np.concatenate(list(_arrays(sets).values())), return_counts=True
+        )[1]
+    )
+    assert cells // len(names) < shared  # more than one batch
+    monkeypatch.setattr(embeddings, "_INCIDENCE_CELLS", cells)
+    for threshold in THRESHOLDS:
+        new = inclusions_from_hash_sets(names, _arrays(sets), threshold=threshold)
+        assert new == _ref_inclusions_from_hash_sets(names, sets, threshold=threshold)
+
+
+def _inclusion_table(rng):
+    pk = [f"id{i}" for i in range(6000)]  # past the 5,000-hash cap
+    data = {
+        "pk": pk,
+        "fk": rng.choice(pk[:4000], 6000).tolist(),
+        "fk_head": pk[:300] * 20,
+        "ints": rng.integers(0, 50, 6000).astype(float).tolist(),
+        "ints_text": [str(v) for v in rng.integers(0, 60, 6000).tolist()],
+        "floats": np.round(rng.normal(size=6000), 2).tolist(),
+        "sparse": [None if rng.random() < 0.9 else f"id{i}" for i in range(6000)],
+        "empty": [None] * 6000,
+        "flags": rng.choice(["yes", "no", "Yes"], 6000).tolist(),
+    }
+    return Table.from_dict(data, name="incl")
+
+
+def test_tables_match_the_reference_cores():
+    table = _inclusion_table(np.random.default_rng(24))
+    names = table.column_names
+    ref_sets = {
+        name: _ref_hash_set_from_stats(_ref_scan(table[name], 2000, HASH_SAMPLE_CAP))
+        for name in names
+    }
+    cache = ProfileCache()
+    for threshold in THRESHOLDS:
+        new = find_inclusion_dependencies(table, threshold=threshold, cache=cache)
+        assert new == _ref_inclusions_from_hash_sets(names, ref_sets, threshold)
+    assert "pk" in new["fk_head"] and new["empty"] == []
+    assert len(ref_sets["pk"]) == HASH_SAMPLE_CAP
+    for a in names:
+        for b in names:
+            expected = (
+                len(ref_sets[a] & ref_sets[b]) / len(ref_sets[a]) if ref_sets[a] else 0.0
+            )
+            assert inclusion_coefficient(table[a], table[b], cache=cache) == expected
