@@ -37,7 +37,9 @@ from repro.table.table import Table
 
 def _seed_cells(values: list[Any], kind=None):
     """The seed ``Column.__init__`` loop: per-cell kind coercion."""
-    kind = ColumnKind(kind) if kind is not None else _infer_kind(values)
+    if kind is None:
+        kind = _infer_kind(values, list(map(_is_missing_scalar, values)))
+    kind = ColumnKind(kind)
     cells: list[Any] = []
     for value in values:
         if _is_missing_scalar(value):

@@ -21,9 +21,9 @@ from typing import Any, Mapping, Sequence
 from repro.catalog.catalog import DataCatalog
 from repro.catalog.profiler import profile_dataset, profile_table
 from repro.catalog.refinement import RefinementResult, refine_catalog
-from repro.generation.generator import CatDB, CatDBChain, GenerationReport
+from repro.generation.generator import GenerationReport, make_generator
 from repro.llm.base import LLMClient
-from repro.ml.model_selection import train_test_split
+from repro.ml.model_selection import split_for_task
 from repro.table.io_csv import read_csv
 from repro.table.table import Table
 
@@ -139,13 +139,9 @@ def catdb_pipgen(
     if data is None and (train is None or test is None):
         raise ValueError("pass `data`, or both `train` and `test`")
     if data is not None:
-        if md.info.task_type == "regression":
-            train, test = train_test_split(data, test_size=test_size, random_state=seed)
-        else:
-            labels = [str(v) for v in data[md.info.target]]
-            train, test = train_test_split(
-                data, test_size=test_size, random_state=seed, stratify=labels
-            )
+        train, test = split_for_task(
+            data, md.info.target, md.info.task_type, test_size=test_size, seed=seed
+        )
     assert train is not None and test is not None
 
     refinement: RefinementResult | None = None
@@ -157,20 +153,12 @@ def catdb_pipgen(
         # must hit the test set too
         test = refinement.apply_to(test)
 
-    if beta <= 1:
-        generator: CatDB = CatDB(
-            llm, alpha=alpha, combination=combination,
-            max_fix_attempts=max_fix_attempts,
-            exec_timeout_seconds=exec_timeout_seconds,
-            exec_mode=exec_mode, exec_memory_mb=exec_memory_mb,
-        )
-    else:
-        generator = CatDBChain(
-            llm, beta=beta, alpha=alpha, combination=combination,
-            max_fix_attempts=max_fix_attempts,
-            exec_timeout_seconds=exec_timeout_seconds,
-            exec_mode=exec_mode, exec_memory_mb=exec_memory_mb,
-        )
+    generator = make_generator(
+        llm, beta=beta, alpha=alpha, combination=combination,
+        max_fix_attempts=max_fix_attempts,
+        exec_timeout_seconds=exec_timeout_seconds,
+        exec_mode=exec_mode, exec_memory_mb=exec_memory_mb,
+    )
     report = generator.generate(train, test, md, iteration=iteration)
     return PipelineResult(
         code=report.code, results=report.metrics, report=report,

@@ -22,11 +22,11 @@ from repro.baselines.base import BaselineReport
 from repro.baselines.caafe import CAAFEBaseline
 from repro.catalog.catalog import DataCatalog
 from repro.datasets.registry import DatasetBundle, load_dataset
-from repro.generation.generator import CatDB, CatDBChain, GenerationReport
+from repro.generation.generator import GenerationReport, make_generator
 from repro.llm import build_client
 from repro.obs.session import configured_ledger_path, run_session, tracing_enabled
 from repro.runner import JobGraph, JobResult, Scheduler
-from repro.ml.model_selection import train_test_split
+from repro.ml.model_selection import split_for_task
 from repro.table.table import Table
 
 __all__ = [
@@ -104,16 +104,9 @@ def prepare_dataset(
     if quick and name in _QUICK_SIZES and "n" not in overrides:
         overrides["n"] = _QUICK_SIZES[name]
     bundle = load_dataset(name, seed=seed, **overrides)
-    unified = bundle.unified
-    if bundle.task_type == "regression":
-        train, test = train_test_split(
-            unified, test_size=test_size, random_state=seed
-        )
-    else:
-        labels = [str(v) for v in unified[bundle.target]]
-        train, test = train_test_split(
-            unified, test_size=test_size, random_state=seed, stratify=labels
-        )
+    train, test = split_for_task(
+        bundle.unified, bundle.target, bundle.task_type, test_size=test_size, seed=seed
+    )
     catalog = bundle.profile(seed=seed)
     return PreparedDataset(bundle=bundle, train=train, test=test, catalog=catalog)
 
@@ -157,20 +150,12 @@ def run_catdb(
         fault_rate=fault_rate, max_retries=max_retries,
         llm_timeout=llm_timeout, retry_base_delay=retry_base_delay,
     )
-    if beta <= 1:
-        generator: CatDB = CatDB(
-            llm, alpha=alpha, combination=combination,
-            max_fix_attempts=max_fix_attempts,
-            exec_timeout_seconds=exec_timeout,
-            exec_mode=exec_mode, exec_memory_mb=exec_memory_mb,
-        )
-    else:
-        generator = CatDBChain(
-            llm, beta=beta, alpha=alpha, combination=combination,
-            max_fix_attempts=max_fix_attempts,
-            exec_timeout_seconds=exec_timeout,
-            exec_mode=exec_mode, exec_memory_mb=exec_memory_mb,
-        )
+    generator = make_generator(
+        llm, beta=beta, alpha=alpha, combination=combination,
+        max_fix_attempts=max_fix_attempts,
+        exec_timeout_seconds=exec_timeout,
+        exec_mode=exec_mode, exec_memory_mb=exec_memory_mb,
+    )
     with run_session(
         "catdb", dataset=prepared.name, llm=llm_name,
         config={

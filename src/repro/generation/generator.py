@@ -1,10 +1,11 @@
 """Algorithm 4 — PIPEGEN: generate, validate, and repair pipelines.
 
-``CatDB`` implements the single-prompt variant (beta = 1); ``CatDBChain``
-repeats the generate/validate/fix loop for each chain step, passing each
-step's code into the next prompt (Figure 6 ordering: all pre-processing
+One method, :meth:`_GeneratorBase.generate`, runs the generate/validate/fix
+loop once per prompt step, passing each step's code into the next prompt.
+The variants differ only in their steps: ``CatDB`` (beta = 1) has the one
+single prompt; ``CatDBChain`` has Figure 6's chain (all pre-processing
 prompts, then all feature-engineering prompts, then one model-selection
-prompt).
+prompt).  :func:`make_generator` picks the variant for a beta.
 
 The error-management loop follows the paper exactly: statically validate
 (ast), execute on a local sample, then (a) apply a local knowledge-base
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import ast
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -27,7 +29,7 @@ from repro.analysis.engine import analyze_source
 from repro.analysis.fixes import fix_error, fix_findings
 from repro.analysis.rules import AnalysisContext, run_rules
 from repro.generation.errors import ErrorGroup, PipelineError
-from repro.generation.executor import ExecutionResult, execute_pipeline_code
+from repro.generation.executor import ExecutionResult, execute_pipeline_code, select_primary_metric
 from repro.generation.knowledge_base import KnowledgeBase
 from repro.llm.base import LLMClient, extract_code_block
 from repro.llm.codegen import generate_pipeline_code
@@ -46,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.pipeline_rules import LibraryPolicy
     from repro.analysis.rules import Finding
 
-__all__ = ["GenerationReport", "CatDB", "CatDBChain"]
+__all__ = ["GenerationReport", "CatDB", "CatDBChain", "make_generator"]
 
 _SAMPLE_ROWS = 250
 
@@ -97,14 +99,10 @@ class GenerationReport:
         """Headline test metric under the documented fixed priority
         (``test_auc`` > ``test_r2`` > ``test_accuracy``); use
         :meth:`primary_metric_for` when the task type is known."""
-        from repro.generation.executor import select_primary_metric
-
         return select_primary_metric(self.metrics)
 
     def primary_metric_for(self, task_type: str) -> float | None:
         """Task-aware headline metric (regression prefers ``test_r2``)."""
-        from repro.generation.executor import select_primary_metric
-
         return select_primary_metric(self.metrics, task_type)
 
 
@@ -112,6 +110,7 @@ class _GeneratorBase:
     """Shared machinery of CatDB and CatDB Chain."""
 
     variant = "catdb"
+    beta = 1
 
     def __init__(
         self,
@@ -433,69 +432,16 @@ class _GeneratorBase:
         )
 
 
-class CatDB(_GeneratorBase):
-    """Single-prompt CatDB (beta = 1)."""
+    # -- the run (Algorithm 4) -----------------------------------------------------------
 
-    variant = "catdb"
+    def _steps(self, plan: ChainPromptPlan) -> list[tuple[str, int | None]]:
+        """This variant's pipeline prompts in order, as ``(section, chunk)``.
 
-    def generate(
-        self,
-        train: Table,
-        test: Table,
-        catalog: DataCatalog,
-        iteration: int = 0,
-    ) -> GenerationReport:
-        start = time.perf_counter()
-        report = GenerationReport(
-            dataset=catalog.info.name, llm=self.llm.model, variant=self.variant
-        )
-        with fit_reuse_scope(), get_tracer().span(
-            "generate.run", dataset=catalog.info.name, llm=self.llm.model,
-            variant=self.variant, iteration=iteration,
-        ) as span:
-            plan = build_prompt_plan(
-                catalog, alpha=self.alpha, beta=1,
-                combination=self.combination, iteration=iteration,
-            )
-            assert plan.single is not None
-            train_sample, test_sample = self._samples(train, test)
-            try:
-                code = self._submit(
-                    report, plan.single.text, role="pipeline", section="single",
-                    iteration=iteration,
-                )
-            except _DEGRADE_ERRORS as exc:
-                # no pipeline at all: _finalize falls back to the
-                # deterministic handcrafted pipeline
-                self._note_degraded(report, exc)
-                code = ""
-            else:
-                code = self._repair_loop(
-                    report, code, plan, train_sample, test_sample
-                )
-            report.generation_seconds = time.perf_counter() - start
-            report = self._finalize(
-                report, code, plan, train, test, train_sample, test_sample
-            )
-            report.generation_seconds = time.perf_counter() - start
-            span.set(
-                success=report.success,
-                prompt_tokens=report.cost.prompt_tokens,
-                completion_tokens=report.cost.completion_tokens,
-            )
-        return report
-
-
-class CatDBChain(_GeneratorBase):
-    """CatDB Chain (beta > 1): chunked prompts with per-step verification."""
-
-    variant = "catdb-chain"
-
-    def __init__(self, llm: LLMClient, beta: int = 2, **kwargs: Any) -> None:
-        super().__init__(llm, **kwargs)
-        if beta < 2:
-            raise ValueError("CatDBChain requires beta >= 2")
-        self.beta = beta
+        A ``None`` chunk is the plan's single prompt; every other step is
+        rendered by :meth:`ChainPromptPlan.chain_step` in its own
+        ``generate.chain_step`` span.
+        """
+        raise NotImplementedError
 
     def generate(
         self,
@@ -504,14 +450,22 @@ class CatDBChain(_GeneratorBase):
         catalog: DataCatalog,
         iteration: int = 0,
     ) -> GenerationReport:
+        """Prompt, validate and repair each step, then finalize.
+
+        Every prompt carries the code so far.  Once the transport gives
+        up (retries exhausted) the run stops and the best code so far
+        goes to finalization; with no code at all that is the
+        handcrafted fallback.
+        """
         start = time.perf_counter()
         report = GenerationReport(
             dataset=catalog.info.name, llm=self.llm.model, variant=self.variant
         )
         tracer = get_tracer()
+        chain_attrs = {"beta": self.beta} if self.beta > 1 else {}
         with fit_reuse_scope(), tracer.span(
             "generate.run", dataset=catalog.info.name, llm=self.llm.model,
-            variant=self.variant, iteration=iteration, beta=self.beta,
+            variant=self.variant, iteration=iteration, **chain_attrs,
         ) as run_span:
             plan = build_prompt_plan(
                 catalog, alpha=self.alpha, beta=self.beta,
@@ -519,27 +473,19 @@ class CatDBChain(_GeneratorBase):
             )
             train_sample, test_sample = self._samples(train, test)
             code: str | None = None
-
-            # Figure 6 ordering: all preprocessing prompts, then all
-            # feature-engineering prompts, then one model-selection prompt;
-            # the code so far is appended to every prompt.  Once the
-            # transport gives up (retries exhausted) the chain stops and
-            # the best code so far goes to finalization.
-            sections = [
-                (section, chunk_index)
-                for section in (SECTION_PREPROCESSING, SECTION_FE)
-                for chunk_index in range(plan.beta)
-            ] + [(SECTION_MODEL, 0)]
-            for section, chunk_index in sections:
-                with tracer.span(
-                    "generate.chain_step", section=section,
-                    chunk=chunk_index,
-                ):
-                    prompt = plan.chain_step(section, chunk_index, code)
+            for section, chunk in self._steps(plan):
+                step_span = nullcontext() if chunk is None else tracer.span(
+                    "generate.chain_step", section=section, chunk=chunk,
+                )
+                with step_span:
+                    text = (
+                        plan.single.text if chunk is None
+                        else plan.chain_step(section, chunk, code).text
+                    )
                     try:
                         code = self._submit(
-                            report, prompt.text, role="pipeline",
-                            section=section, iteration=iteration,
+                            report, text, role="pipeline", section=section,
+                            iteration=iteration,
                         )
                     except _DEGRADE_ERRORS as exc:
                         self._note_degraded(report, exc)
@@ -550,7 +496,6 @@ class CatDBChain(_GeneratorBase):
                     )
                 if report.degraded:
                     break
-            report.generation_seconds = time.perf_counter() - start
             report = self._finalize(
                 report, code or "", plan, train, test, train_sample,
                 test_sample,
@@ -562,3 +507,45 @@ class CatDBChain(_GeneratorBase):
                 completion_tokens=report.cost.completion_tokens,
             )
         return report
+
+
+class CatDB(_GeneratorBase):
+    """Single-prompt CatDB (beta = 1): the chain of one step."""
+
+    variant = "catdb"
+    # named in each class body so per-class wrappers find it in __dict__
+    generate = _GeneratorBase.generate
+
+    def _steps(self, plan: ChainPromptPlan) -> list[tuple[str, int | None]]:
+        return [("single", None)]
+
+
+class CatDBChain(_GeneratorBase):
+    """CatDB Chain (beta > 1): chunked prompts with per-step verification."""
+
+    variant = "catdb-chain"
+    generate = _GeneratorBase.generate
+
+    def __init__(self, llm: LLMClient, beta: int = 2, **kwargs: Any) -> None:
+        super().__init__(llm, **kwargs)
+        if beta < 2:
+            raise ValueError("CatDBChain requires beta >= 2")
+        self.beta = beta
+
+    def _steps(self, plan: ChainPromptPlan) -> list[tuple[str, int | None]]:
+        # Figure 6 ordering: all preprocessing prompts, then all
+        # feature-engineering prompts, then one model-selection prompt
+        return [
+            (section, chunk)
+            for section in (SECTION_PREPROCESSING, SECTION_FE)
+            for chunk in range(plan.beta)
+        ] + [(SECTION_MODEL, 0)]
+
+
+def make_generator(
+    llm: LLMClient, beta: int = 1, **kwargs: Any
+) -> CatDB | CatDBChain:
+    """CatDB for ``beta <= 1``, CatDB Chain with ``beta`` chunks otherwise."""
+    if beta <= 1:
+        return CatDB(llm, **kwargs)
+    return CatDBChain(llm, beta=beta, **kwargs)

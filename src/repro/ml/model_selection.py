@@ -10,6 +10,7 @@ from repro.ml.base import BaseEstimator, clone
 
 __all__ = [
     "train_test_split",
+    "split_for_task",
     "KFold",
     "StratifiedKFold",
     "cross_val_score",
@@ -60,6 +61,19 @@ def train_test_split(
         out.append(_take(arr, train_idx))
         out.append(_take(arr, test_idx_arr))
     return out
+
+
+def split_for_task(
+    table: Any,
+    target: str,
+    task_type: str,
+    test_size: float = 0.3,
+    seed: int = 0,
+) -> list[Any]:
+    """``[train, test]`` of a dataset table, stratified on the string
+    form of ``target`` unless the task is regression (the paper's split)."""
+    stratify = None if task_type == "regression" else [str(v) for v in table[target]]
+    return train_test_split(table, test_size=test_size, random_state=seed, stratify=stratify)
 
 
 def _length(arr: Any) -> int:

@@ -62,7 +62,9 @@ class ChainPromptPlan:
 
     @property
     def is_chain(self) -> bool:
-        return self.beta > 1
+        # not ``beta > 1``: a chain keeps only non-empty chunks, so features
+        # that fit one chunk (or none) leave a chain plan with beta <= 1
+        return self.single is None
 
     def rules_for(self, section: str) -> list[Rule]:
         return [r for r in self.rules if r.section == section]

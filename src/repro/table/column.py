@@ -131,11 +131,12 @@ def factorize(values: list) -> tuple[list, np.ndarray] | None:
 
 
 def _coerce_pool(
-    pool: list, codes: np.ndarray, kind: ColumnKind
+    pool: list, codes: np.ndarray, kind: ColumnKind, missing: list[bool]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coerce once per distinct raw value, then gather per-row storage.
 
-    For NUMERIC returns ``(float64 data, missing mask)``; for STRING and
+    ``missing`` holds :func:`_is_missing_scalar` of each pool value.  For
+    NUMERIC returns ``(float64 data, missing mask)``; for STRING and
     BOOLEAN returns ``(object pool, int32 codes)`` where the pool has been
     re-deduplicated after formatting (``1`` and ``"1"`` both format to
     ``"1"``) and ``-1`` codes mark missing cells.
@@ -143,8 +144,8 @@ def _coerce_pool(
     if kind is ColumnKind.NUMERIC:
         fpool = np.empty(len(pool), dtype=np.float64)
         mpool = np.zeros(len(pool), dtype=bool)
-        for i, value in enumerate(pool):
-            if _is_missing_scalar(value):
+        for i, (value, is_missing) in enumerate(zip(pool, missing)):
+            if is_missing:
                 fpool[i] = np.nan
                 mpool[i] = True
                 continue
@@ -157,8 +158,8 @@ def _coerce_pool(
     remap = np.empty(len(pool), dtype=np.int32)
     index: dict[Any, int] = {}
     out_pool: list[Any] = []
-    for i, value in enumerate(pool):
-        if _is_missing_scalar(value):
+    for i, (value, is_missing) in enumerate(zip(pool, missing)):
+        if is_missing:
             remap[i] = -1
             continue
         coerced = (
@@ -245,8 +246,9 @@ class Column:
                 return
         # cells factorize cannot key (unhashable, exotic) get a slot each
         pool, codes = factorize(raw) or (raw, np.arange(len(raw)))
-        self.kind = kind if kind is not None else _infer_kind(pool)
-        a, b = _coerce_pool(pool, codes, self.kind)
+        pool_missing = list(map(_is_missing_scalar, pool))
+        self.kind = kind if kind is not None else _infer_kind(pool, pool_missing)
+        a, b = _coerce_pool(pool, codes, self.kind, pool_missing)
         if self.kind is ColumnKind.NUMERIC:
             self._data = a
             self.missing = b
@@ -362,7 +364,8 @@ class Column:
         """
         ext_pool = list(pool) + [None]
         ext_codes = np.where(codes < 0, len(ext_pool) - 1, codes).astype(np.int64)
-        a, b = _coerce_pool(ext_pool, ext_codes, kind)
+        missing = list(map(_is_missing_scalar, ext_pool))
+        a, b = _coerce_pool(ext_pool, ext_codes, kind, missing)
         if kind is ColumnKind.NUMERIC:
             return cls._from_numeric(name, a, b)
         return cls._from_dict_storage(name, kind, a, b)
@@ -659,9 +662,10 @@ def _kind_from_evidence(
     return ColumnKind.STRING
 
 
-def _infer_kind(values: list[Any]) -> ColumnKind:
+def _infer_kind(values: list[Any], missing: list[bool]) -> ColumnKind:
+    """Kind of ``values``; ``missing`` holds :func:`_is_missing_scalar` of each."""
     return _kind_from_evidence(*_kind_evidence(
-        value for value in values if not _is_missing_scalar(value)
+        value for value, is_missing in zip(values, missing) if not is_missing
     ))
 
 

@@ -7,6 +7,7 @@ from repro.catalog.profiler import profile_table
 from repro.generation.generator import CatDB, CatDBChain
 from repro.llm.mock import MockLLM
 from repro.ml.model_selection import train_test_split
+from repro.prompt.rules import SECTION_FE, SECTION_MODEL, SECTION_PREPROCESSING
 from repro.table.table import Table
 
 
@@ -105,3 +106,49 @@ class TestEndToEndArtifacts:
         original_prompt = build_prompt_plan(catalog, beta=1).single.text
         reloaded_prompt = build_prompt_plan(reloaded, beta=1).single.text
         assert original_prompt == reloaded_prompt
+
+
+class TestChainFewFeatures:
+    """A chain plan keeps only non-empty chunks, so a cleaned catalog with
+    one feature column (or none) yields fewer chunks than ``beta``; the
+    chain must still run its steps instead of treating the plan as a
+    single prompt."""
+
+    @staticmethod
+    def _setup(data):
+        t = Table.from_dict(data, name="few")
+        labels = [str(v) for v in t["y"]]
+        train, test = train_test_split(t, test_size=0.3, random_state=0,
+                                       stratify=labels)
+        return train, test, profile_table(t, target="y", task_type="binary")
+
+    @pytest.mark.parametrize("beta", [2, 3])
+    def test_one_feature(self, beta):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=120)
+        train, test, catalog = self._setup(
+            {"x": x, "y": np.where(x > 0, "pos", "neg").tolist()}
+        )
+        report = CatDBChain(MockLLM("gpt-4o", seed=0), beta=beta).generate(
+            train, test, catalog
+        )
+        assert report.success
+        assert not report.fallback_used
+        sections = [i.section for i in report.cost.interactions
+                    if i.role == "pipeline"]
+        assert sections == [SECTION_PREPROCESSING, SECTION_FE, SECTION_MODEL]
+
+    def test_constant_feature_only(self):
+        rng = np.random.default_rng(0)
+        train, test, catalog = self._setup({
+            "c": [1.0] * 120,
+            "y": rng.choice(["pos", "neg"], size=120).tolist(),
+        })
+        report = CatDBChain(MockLLM("gpt-4o", seed=0), beta=2).generate(
+            train, test, catalog
+        )
+        # the constant column is cleaned away: only the model step is left
+        sections = [i.section for i in report.cost.interactions
+                    if i.role == "pipeline"]
+        assert sections == [SECTION_MODEL]
+        assert report.code

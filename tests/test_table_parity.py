@@ -38,7 +38,9 @@ from repro.table.table import Table
 
 def ref_coerce(values, kind=None):
     """Seed per-cell coercion: inferred kind + coerced cell list."""
-    kind = ColumnKind(kind) if kind is not None else _infer_kind(values)
+    if kind is None:
+        kind = _infer_kind(values, list(map(_is_missing_scalar, values)))
+    kind = ColumnKind(kind)
     cells = []
     for value in values:
         if _is_missing_scalar(value):
