@@ -1,8 +1,8 @@
 """Micro-benchmark of the parallel experiment scheduler.
 
 Times a representative 12-cell grid (fig13-shaped: shared
-``prepare_dataset`` upstream, one ``run_catdb``/``run_llm_baseline``
-fan-out per cell) sequentially (``workers=1``) and on a 4-thread pool,
+``prepare_dataset`` upstream, one ``run_system`` fan-out per
+cell) sequentially (``workers=1``) and on a 4-thread pool,
 and records the speedup alongside the results.  On the single-core CI
 container the speedup is expected to be roughly neutral (the simulated
 LLM latency still overlaps, the numpy work does not); the recorded

@@ -30,7 +30,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.analysis.dataflow import Taint, undefined_uses
-from repro.analysis.rules import AnalysisContext, Finding, Severity
+from repro.analysis.rules import (
+    AnalysisContext,
+    Finding,
+    Severity,
+    global_rng_call,
+)
 from repro.analysis.signatures import (
     check_call,
     check_method_call,
@@ -383,14 +388,14 @@ class BranchUseBeforeDefRule:
             )
 
 
-#: global-RNG functions on the stdlib ``random`` module
-_RANDOM_MODULE_FNS = {
-    "random", "randint", "randrange", "choice", "choices", "shuffle",
-    "sample", "uniform", "gauss", "betavariate", "expovariate", "seed",
+_NONDETERMINISM_MESSAGES = {
+    "np-unseeded": "numpy.random.default_rng() without a seed is "
+                   "nondeterministic",
+    "np-global": "call to numpy global RNG 'np.random.{}' "
+                 "(use a seeded default_rng(seed) instead)",
+    "stdlib": "call to stdlib global RNG 'random.{}' "
+              "(unseeded; results will not reproduce)",
 }
-
-#: numpy.random attributes that are seeded constructors, not global draws
-_NP_RANDOM_SEEDED = {"default_rng", "SeedSequence", "Generator", "BitGenerator"}
 
 
 class NondeterminismRule:
@@ -404,34 +409,13 @@ class NondeterminismRule:
         for node in ctx.walk():
             if not isinstance(node, ast.Call):
                 continue
-            dotted = ctx.dotted_name(node.func)
-            if dotted is not None:
-                finding = self._check_dotted(dotted, node)
-                if finding is not None:
-                    yield finding
+            hit = global_rng_call(ctx, node)
+            if hit is not None:
+                kind, name = hit
+                yield self._finding(
+                    _NONDETERMINISM_MESSAGES[kind].format(name), node.lineno
+                )
             yield from self._check_random_state_none(ctx, node)
-
-    def _check_dotted(self, dotted: str, node: ast.Call) -> Finding | None:
-        if dotted.startswith("numpy.random."):
-            attr = dotted.split(".", 2)[2]
-            if attr == "default_rng" and not node.args and not node.keywords:
-                return self._finding(
-                    "numpy.random.default_rng() without a seed is "
-                    "nondeterministic", node.lineno,
-                )
-            if "." not in attr and attr not in _NP_RANDOM_SEEDED:
-                return self._finding(
-                    f"call to numpy global RNG 'np.random.{attr}' "
-                    "(use a seeded default_rng(seed) instead)", node.lineno,
-                )
-        elif dotted.startswith("random."):
-            attr = dotted.split(".", 1)[1]
-            if attr in _RANDOM_MODULE_FNS:
-                return self._finding(
-                    f"call to stdlib global RNG 'random.{attr}' "
-                    "(unseeded; results will not reproduce)", node.lineno,
-                )
-        return None
 
     def _check_random_state_none(
         self, ctx: AnalysisContext, node: ast.Call

@@ -35,7 +35,12 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.rules import AnalysisContext, Finding, Severity
+from repro.analysis.rules import (
+    AnalysisContext,
+    Finding,
+    Severity,
+    global_rng_call,
+)
 
 __all__ = [
     "UnseededRandomRule",
@@ -47,12 +52,11 @@ __all__ = [
     "REPO_RULES",
 ]
 
-_GLOBAL_RANDOM_FNS = {
-    "random", "randint", "randrange", "choice", "choices", "shuffle",
-    "sample", "uniform", "gauss", "seed",
+_UNSEEDED_RANDOM_MESSAGES = {
+    "np-unseeded": "numpy.random.default_rng() without a seed",
+    "np-global": "numpy global RNG call 'np.random.{}'",
+    "stdlib": "stdlib global RNG call 'random.{}'",
 }
-
-_NP_RANDOM_SEEDED = {"default_rng", "SeedSequence", "Generator", "BitGenerator"}
 
 
 class UnseededRandomRule:
@@ -66,21 +70,10 @@ class UnseededRandomRule:
         for node in ctx.walk():
             if not isinstance(node, ast.Call):
                 continue
-            dotted = ctx.dotted_name(node.func)
-            if dotted is None:
-                continue
-            message: str | None = None
-            if dotted.startswith("numpy.random."):
-                attr = dotted.split(".", 2)[2]
-                if attr == "default_rng" and not node.args and not node.keywords:
-                    message = "numpy.random.default_rng() without a seed"
-                elif "." not in attr and attr not in _NP_RANDOM_SEEDED:
-                    message = f"numpy global RNG call 'np.random.{attr}'"
-            elif dotted.startswith("random."):
-                attr = dotted.split(".", 1)[1]
-                if attr in _GLOBAL_RANDOM_FNS:
-                    message = f"stdlib global RNG call 'random.{attr}'"
-            if message is not None:
+            hit = global_rng_call(ctx, node)
+            if hit is not None:
+                kind, name = hit
+                message = _UNSEEDED_RANDOM_MESSAGES[kind].format(name)
                 yield Finding(
                     rule_id=self.id,
                     severity=self.default_severity,

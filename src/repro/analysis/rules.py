@@ -28,6 +28,8 @@ __all__ = [
     "Rule",
     "RuleConfig",
     "AnalysisContext",
+    "STDLIB_GLOBAL_RNG_FNS",
+    "global_rng_call",
     "run_rules",
 ]
 
@@ -180,6 +182,47 @@ class AnalysisContext:
         root = self.import_aliases.get(current.id, current.id)
         parts.append(root)
         return ".".join(reversed(parts))
+
+
+#: module-level functions of the stdlib ``random`` module: each draws
+#: from, or reseeds, its one hidden process-global generator
+#: (``getstate``/``setstate`` only save and restore it)
+STDLIB_GLOBAL_RNG_FNS = frozenset({
+    "random", "uniform", "triangular", "randint", "randrange", "choice",
+    "choices", "shuffle", "sample", "getrandbits", "randbytes", "gauss",
+    "normalvariate", "lognormvariate", "expovariate", "vonmisesvariate",
+    "gammavariate", "betavariate", "paretovariate", "weibullvariate",
+    "binomialvariate", "seed",
+})
+
+#: numpy.random attributes that are seeded constructors, not global draws
+_NP_RANDOM_SEEDED = {"default_rng", "SeedSequence", "Generator", "BitGenerator"}
+
+
+def global_rng_call(
+    ctx: AnalysisContext, node: ast.Call
+) -> tuple[str, str] | None:
+    """Classify a call that uses a process-global RNG as ``(kind, name)``.
+
+    ``kind`` is ``"np-unseeded"`` for ``numpy.random.default_rng()``
+    without a seed, ``"np-global"`` for any other ``numpy.random.<name>``
+    call that is not a seeded constructor, and ``"stdlib"`` for a
+    :data:`STDLIB_GLOBAL_RNG_FNS` function; ``None`` for any other call.
+    """
+    dotted = ctx.dotted_name(node.func)
+    if dotted is None:
+        return None
+    if dotted.startswith("numpy.random."):
+        attr = dotted.split(".", 2)[2]
+        if attr == "default_rng" and not node.args and not node.keywords:
+            return "np-unseeded", attr
+        if "." not in attr and attr not in _NP_RANDOM_SEEDED:
+            return "np-global", attr
+    elif dotted.startswith("random."):
+        attr = dotted.split(".", 1)[1]
+        if attr in STDLIB_GLOBAL_RNG_FNS:
+            return "stdlib", attr
+    return None
 
 
 def run_rules(

@@ -580,8 +580,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     import importlib
     import os
 
-    # Experiments drive run_catdb/run_llm_baseline/run_automl, each of
-    # which records its own ledger entry once tracing is on.  Grid-shaped
+    # Experiments drive run_system, whose every run records its own
+    # ledger entry once tracing is on.  Grid-shaped
     # experiments additionally run on the parallel scheduler and record
     # one runner.cell entry per grid cell (the --resume key).
     # The exec knobs travel through the environment: every execution in

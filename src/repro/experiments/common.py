@@ -1,5 +1,9 @@
-"""Shared experiment plumbing: dataset preparation, system runners,
-grid scheduling, and paper-style table rendering.
+"""Shared experiment plumbing: dataset preparation, the one system
+runner, grid scheduling, and paper-style table rendering.
+
+:data:`SYSTEMS` names the ten systems paper Section 5 compares, each
+with its runner and run-session kind; :func:`run_system` runs any of
+them on a :class:`PreparedDataset`.
 
 Grid-shaped drivers (dataset x system x LLM cells) build a
 :class:`~repro.runner.job.JobGraph` and hand it to :func:`run_grid`,
@@ -12,7 +16,9 @@ at any worker count.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.baselines.aide import AIDEBaseline
@@ -28,29 +34,25 @@ from repro.obs.session import configured_ledger_path, run_session, tracing_enabl
 from repro.runner import JobGraph, JobResult, Scheduler
 from repro.ml.model_selection import split_for_task
 from repro.table.table import Table
+from repro.text_table import format_table
 
 __all__ = [
     "PreparedDataset",
     "prepare_dataset",
     "run_catdb",
-    "run_llm_baseline",
-    "run_automl",
+    "SystemSpec",
+    "SYSTEMS",
+    "run_system",
+    "failure_marker",
+    "add_prepare_nodes",
     "run_grid",
     "grid_rows",
-    "AUTOML_TOOLS",
     "LLM_PROFILES",
     "format_table",
     "metric_str",
 ]
 
 LLM_PROFILES = ("gpt-4o", "gemini-1.5", "llama3.1-70b")
-
-AUTOML_TOOLS = {
-    "h2o": H2OLike,
-    "flaml": FlamlLike,
-    "autogluon": AutoGluonLike,
-    "autosklearn": AutoSklearnLike,
-}
 
 # dataset-size overrides used in quick mode (benchmark suite)
 _QUICK_SIZES = {
@@ -143,7 +145,7 @@ def run_catdb(
     ``exec_timeout``) assemble the FlakyLLM/ResilientLLM transport stack
     and the executor's wall-clock budget; ``exec_mode="pool"`` moves
     pipeline execution into isolated subprocess workers
-    (``exec_memory_mb`` caps each one's address space).  All defaults leave the legacy bit-identical MockLLM path.
+    (``exec_memory_mb`` caps each one's address space).
     """
     llm = build_client(
         llm_name, seed=seed, fault_injection=fault_injection,
@@ -156,9 +158,9 @@ def run_catdb(
         exec_timeout_seconds=exec_timeout,
         exec_mode=exec_mode, exec_memory_mb=exec_memory_mb,
     )
-    with run_session(
-        "catdb", dataset=prepared.name, llm=llm_name,
-        config={
+    return _observed(
+        "catdb", prepared, llm_name,
+        {
             "beta": beta, "alpha": alpha, "combination": combination,
             "iteration": iteration, "seed": seed,
             "max_fix_attempts": max_fix_attempts,
@@ -167,101 +169,149 @@ def run_catdb(
             "llm_timeout": llm_timeout, "exec_timeout": exec_timeout,
             "exec_mode": exec_mode,
         },
-    ) as session:
-        report = generator.generate(
+        lambda: generator.generate(
             train if train is not None else prepared.train,
             test if test is not None else prepared.test,
             catalog if catalog is not None else prepared.catalog,
             iteration=iteration,
-        )
-        if session is not None:
-            session.outcome.update(
-                success=report.success,
-                variant=report.variant,
-                primary_metric=report.primary_metric,
-                total_tokens=report.total_tokens,
-                fix_attempts=report.fix_attempts,
-                fallback_used=report.fallback_used,
-                degraded=report.degraded,
-                end_to_end_seconds=round(report.end_to_end_seconds, 4),
-            )
-    return report
+        ),
+        ("success", "variant", "primary_metric", "total_tokens",
+         "fix_attempts", "fallback_used", "degraded", "end_to_end_seconds"),
+    )
 
 
-def run_llm_baseline(
+@dataclass(frozen=True)
+class SystemSpec:
+    """One of the systems paper Section 5 compares.
+
+    ``kind`` is the ``kind`` of the ledger session each run records.
+    A ``catdb`` system's ``runner`` runs it (``run_catdb`` at its β); a
+    comparator's ``runner`` builds the object whose ``run(train, test,
+    ...)`` does: from ``(llm, description, seed)`` for a ``baseline``,
+    from ``(time_budget_seconds=, seed=)`` for an ``automl`` tool.
+    """
+
+    kind: str  # "catdb" | "baseline" | "automl"
+    runner: Callable[..., Any]
+
+
+SYSTEMS: dict[str, SystemSpec] = {
+    "catdb": SystemSpec("catdb", partial(run_catdb, beta=1)),
+    "catdb-chain": SystemSpec("catdb", partial(run_catdb, beta=2)),
+    "caafe-tabpfn": SystemSpec("baseline", lambda llm, description, seed:
+                               CAAFEBaseline(llm, model="tabpfn", seed=seed)),
+    "caafe-rforest": SystemSpec("baseline", lambda llm, description, seed:
+                                CAAFEBaseline(llm, model="rforest", seed=seed)),
+    "aide": SystemSpec("baseline", lambda llm, description, seed:
+                       AIDEBaseline(llm, description=description, seed=seed)),
+    "autogen": SystemSpec("baseline", lambda llm, description, seed:
+                          AutoGenBaseline(llm, description=description,
+                                          seed=seed)),
+    "h2o": SystemSpec("automl", H2OLike),
+    "flaml": SystemSpec("automl", FlamlLike),
+    "autogluon": SystemSpec("automl", AutoGluonLike),
+    "autosklearn": SystemSpec("automl", AutoSklearnLike),
+}
+
+#: the options each session kind takes; ``run_system`` drops the ones
+#: another kind takes, so one grid cell can pass every system the same
+_KIND_OPTIONS = {
+    "catdb": frozenset(inspect.signature(run_catdb).parameters)
+    - {"prepared", "llm_name", "beta", "seed"},
+    "baseline": frozenset({"train", "test"}),
+    "automl": frozenset({"train", "test", "time_budget_seconds"}),
+}
+
+
+def run_system(
     prepared: PreparedDataset,
     system: str,
     llm_name: str = "gpt-4o",
     seed: int = 0,
-    train: Table | None = None,
-    test: Table | None = None,
-) -> BaselineReport:
-    """Run one of the LLM-based comparators: 'caafe-tabpfn',
-    'caafe-rforest', 'aide', 'autogen'."""
-    llm = build_client(llm_name, seed=seed)
-    description = prepared.bundle.spec.description
-    if system == "caafe-tabpfn":
-        runner: Any = CAAFEBaseline(llm, model="tabpfn", seed=seed)
-    elif system == "caafe-rforest":
-        runner = CAAFEBaseline(llm, model="rforest", seed=seed)
-    elif system == "aide":
-        runner = AIDEBaseline(llm, description=description, seed=seed)
-    elif system == "autogen":
-        runner = AutoGenBaseline(llm, description=description, seed=seed)
+    **options: Any,
+) -> GenerationReport | BaselineReport:
+    """Run one system of :data:`SYSTEMS` once on a prepared dataset.
+
+    ``catdb`` systems go through :func:`run_catdb` with their β; the
+    comparators run on ``train``/``test`` (default: the prepared split)
+    inside one ledger session each.  ``time_budget_seconds`` (default 8)
+    bounds an AutoML search.  An option that only another kind of system
+    takes is ignored, so a grid cell passes its knobs to every system;
+    an option no system takes raises ``TypeError``.
+    """
+    spec = SYSTEMS.get(system)
+    if spec is None:
+        raise ValueError(f"unknown system {system!r}; have {sorted(SYSTEMS)}")
+    unknown = set(options).difference(*_KIND_OPTIONS.values())
+    if unknown:
+        raise TypeError(f"run_system() got unknown options {sorted(unknown)}")
+    options = {k: v for k, v in options.items() if k in _KIND_OPTIONS[spec.kind]}
+    if spec.kind == "catdb":
+        return spec.runner(prepared, llm_name=llm_name, seed=seed, **options)
+    if spec.kind == "baseline":
+        runner = spec.runner(build_client(llm_name, seed=seed),
+                             prepared.bundle.spec.description, seed)
+        config = {"system": system, "seed": seed}
+        outcome: tuple[str, ...] = (
+            "success", "system", "primary_metric", "total_tokens")
     else:
-        raise ValueError(f"unknown LLM baseline {system!r}")
-    with run_session(
-        "baseline", dataset=prepared.name, llm=llm_name,
-        config={"system": system, "seed": seed},
-    ) as session:
-        report = runner.run(
+        budget = options.get("time_budget_seconds", 8.0)
+        runner = spec.runner(time_budget_seconds=budget, seed=seed)
+        llm_name = ""  # AutoML tools use no LLM
+        config = {"tool": system, "time_budget_seconds": budget, "seed": seed}
+        outcome = ("success", "system", "primary_metric")
+    train, test = options.get("train"), options.get("test")
+    return _observed(
+        spec.kind, prepared, llm_name, config,
+        lambda: runner.run(
             train if train is not None else prepared.train,
             test if test is not None else prepared.test,
-            prepared.target,
-            prepared.task_type,
-            meta=prepared.meta,
-        )
-        if session is not None:
-            session.outcome.update(
-                success=report.success,
-                system=report.system,
-                primary_metric=report.primary_metric,
-                total_tokens=report.total_tokens,
-            )
-    return report
+            prepared.target, prepared.task_type, meta=prepared.meta,
+        ),
+        outcome,
+    )
 
 
-def run_automl(
+def _observed(
+    kind: str,
     prepared: PreparedDataset,
-    tool: str,
-    time_budget_seconds: float = 8.0,
-    seed: int = 0,
-    train: Table | None = None,
-    test: Table | None = None,
-) -> BaselineReport:
-    """Run one mini-AutoML tool: 'h2o', 'flaml', 'autogluon', 'autosklearn'."""
-    if tool not in AUTOML_TOOLS:
-        raise ValueError(f"unknown AutoML tool {tool!r}; have {sorted(AUTOML_TOOLS)}")
-    runner = AUTOML_TOOLS[tool](time_budget_seconds=time_budget_seconds, seed=seed)
-    with run_session(
-        "automl", dataset=prepared.name,
-        config={"tool": tool, "time_budget_seconds": time_budget_seconds,
-                "seed": seed},
-    ) as session:
-        report = runner.run(
-            train if train is not None else prepared.train,
-            test if test is not None else prepared.test,
-            prepared.target,
-            prepared.task_type,
-            meta=prepared.meta,
-        )
+    llm_name: str,
+    config: dict[str, Any],
+    run: Callable[[], Any],
+    outcome: tuple[str, ...],
+) -> Any:
+    """``run()`` inside one ledger session; the session's outcome holds
+    the report's ``outcome`` attributes (seconds rounded to 0.1 ms)."""
+    with run_session(kind, dataset=prepared.name, llm=llm_name,
+                     config=config) as session:
+        report = run()
         if session is not None:
-            session.outcome.update(
-                success=report.success,
-                system=report.system,
-                primary_metric=report.primary_metric,
-            )
+            session.outcome.update({
+                key: round(getattr(report, key), 4)
+                if key.endswith("_seconds") else getattr(report, key)
+                for key in outcome
+            })
     return report
+
+
+def failure_marker(report: GenerationReport | BaselineReport) -> str:
+    """A run's failure cell: empty on success, else the comparator's
+    reason (``OOM`` / ``TO`` / ``N/A ...``) or ``N/A`` for CatDB."""
+    if report.success:
+        return ""
+    return getattr(report, "failure_reason", "") or "N/A"
+
+
+def add_prepare_nodes(
+    graph: JobGraph, datasets: Sequence[str], seed: int, quick: bool
+) -> None:
+    """Add the shared ``prepare:{name}`` setup node of each dataset."""
+    for name in datasets:
+        graph.add(
+            f"prepare:{name}",
+            lambda name=name: prepare_dataset(name, seed=seed, quick=quick),
+            seed=seed,
+        )
 
 
 def run_grid(
@@ -334,20 +384,3 @@ def metric_str(value: float | None, failure: str = "") -> str:
     if scaled < -999.9:
         return "<-999.9"
     return f"{scaled:.1f}"
-
-
-def format_table(
-    headers: Sequence[str], rows: Sequence[Sequence[Any]], title: str = ""
-) -> str:
-    """Fixed-width text table for paper-style rendering."""
-    columns = [[str(h)] + [str(r[i]) for r in rows] for i, h in enumerate(headers)]
-    widths = [max(len(cell) for cell in col) for col in columns]
-    def line(cells: Sequence[Any]) -> str:
-        return " | ".join(str(c).ljust(w) for c, w in zip(cells, widths))
-    out = []
-    if title:
-        out.append(title)
-    out.append(line(headers))
-    out.append("-+-".join("-" * w for w in widths))
-    out.extend(line(row) for row in rows)
-    return "\n".join(out)

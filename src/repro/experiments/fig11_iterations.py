@@ -15,12 +15,11 @@ import numpy as np
 
 from repro.experiments.common import (
     LLM_PROFILES,
+    add_prepare_nodes,
     format_table,
     grid_rows,
-    prepare_dataset,
-    run_catdb,
     run_grid,
-    run_llm_baseline,
+    run_system,
 )
 from repro.runner import JobGraph
 
@@ -95,12 +94,7 @@ def run(
     progress: bool = False,
 ) -> Fig11Result:
     graph = JobGraph()
-    for name in datasets:
-        graph.add(
-            f"prepare:{name}",
-            lambda name=name: prepare_dataset(name, seed=seed, quick=quick),
-            seed=seed,
-        )
+    add_prepare_nodes(graph, datasets, seed, quick)
     for name in datasets:
         for llm in llms:
             for iteration in range(iterations):
@@ -108,36 +102,20 @@ def run(
 
                     def cell(prepared, name=name, llm=llm,
                              iteration=iteration, system=system):
-                        if system in ("catdb", "catdb-chain"):
-                            report = run_catdb(
-                                prepared, llm_name=llm,
-                                beta=1 if system == "catdb" else 2,
-                                iteration=iteration, seed=seed + iteration,
-                                max_fix_attempts=3,
-                            )
-                            return {
-                                "dataset": name, "llm": llm, "system": system,
-                                "iteration": iteration,
-                                "success": report.success,
-                                "metric": report.primary_metric,
-                                "total_tokens": report.total_tokens,
-                                "end_to_end_seconds": report.end_to_end_seconds,
-                                "pipeline_seconds":
-                                    report.pipeline_runtime_seconds,
-                            }
-                        baseline = run_llm_baseline(
+                        report = run_system(
                             prepared, system, llm_name=llm,
-                            seed=seed + iteration,
+                            seed=seed + iteration, iteration=iteration,
+                            max_fix_attempts=3,
                         )
                         return {
                             "dataset": name, "llm": llm, "system": system,
                             "iteration": iteration,
-                            "success": baseline.success,
-                            "metric": baseline.primary_metric,
-                            "total_tokens": baseline.total_tokens,
-                            "end_to_end_seconds": baseline.end_to_end_seconds,
+                            "success": report.success,
+                            "metric": report.primary_metric,
+                            "total_tokens": report.total_tokens,
+                            "end_to_end_seconds": report.end_to_end_seconds,
                             "pipeline_seconds":
-                                baseline.pipeline_runtime_seconds,
+                                report.pipeline_runtime_seconds,
                         }
 
                     graph.add(

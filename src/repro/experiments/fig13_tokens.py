@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 from repro.experiments.common import (
     LLM_PROFILES,
+    SYSTEMS,
+    add_prepare_nodes,
     format_table,
     grid_rows,
-    prepare_dataset,
-    run_catdb,
     run_grid,
-    run_llm_baseline,
+    run_system,
 )
 from repro.runner import JobGraph
 
@@ -63,37 +63,25 @@ def run(
     progress: bool = False,
 ) -> Fig13Result:
     graph = JobGraph()
-    for name in datasets:
-        graph.add(
-            f"prepare:{name}",
-            lambda name=name: prepare_dataset(name, seed=seed, quick=quick),
-            seed=seed,
-        )
+    add_prepare_nodes(graph, datasets, seed, quick)
     for name in datasets:
         for llm in llms:
             for system in systems:
 
                 def cell(prepared, name=name, llm=llm, system=system):
-                    if system in ("catdb", "catdb-chain"):
-                        report = run_catdb(
-                            prepared, llm_name=llm,
-                            beta=1 if system == "catdb" else 2, seed=seed,
-                        )
-                        return {
-                            "dataset": name, "llm": llm, "system": system,
-                            "total_tokens": report.total_tokens,
-                            "pipeline_tokens": report.cost.pipeline_cost(),
-                            "error_tokens": report.cost.error_cost(),
-                            "success": report.success,
-                        }
-                    baseline = run_llm_baseline(prepared, system,
-                                                llm_name=llm, seed=seed)
+                    report = run_system(prepared, system, llm_name=llm,
+                                        seed=seed)
+                    if SYSTEMS[system].kind == "catdb":
+                        pipeline = report.cost.pipeline_cost()
+                        error = report.cost.error_cost()
+                    else:  # baselines resubmit whole prompts
+                        pipeline, error = report.total_tokens, 0
                     return {
                         "dataset": name, "llm": llm, "system": system,
-                        "total_tokens": baseline.total_tokens,
-                        "pipeline_tokens": baseline.total_tokens,
-                        "error_tokens": 0,  # baselines resubmit whole prompts
-                        "success": baseline.success,
+                        "total_tokens": report.total_tokens,
+                        "pipeline_tokens": pipeline,
+                        "error_tokens": error,
+                        "success": report.success,
                     }
 
                 graph.add(

@@ -20,13 +20,13 @@ from repro.datasets.corruption import (
     inject_outliers,
 )
 from repro.experiments.common import (
+    SYSTEMS,
+    add_prepare_nodes,
+    failure_marker,
     format_table,
     grid_rows,
-    prepare_dataset,
-    run_automl,
-    run_catdb,
     run_grid,
-    run_llm_baseline,
+    run_system,
 )
 from repro.runner import JobGraph
 
@@ -104,12 +104,8 @@ def run(
     progress: bool = False,
 ) -> Fig14Result:
     graph = JobGraph()
+    add_prepare_nodes(graph, datasets, seed, quick)
     for name in datasets:
-        graph.add(
-            f"prepare:{name}",
-            lambda name=name: prepare_dataset(name, seed=seed, quick=quick),
-            seed=seed,
-        )
         for corruption in corruptions:
             for ratio in ratios:
 
@@ -131,95 +127,45 @@ def run(
                     deps=(f"prepare:{name}",), seed=seed,
                 )
 
+    systems = ("catdb", *automl_tools) + (
+        ("caafe-rforest",) if include_caafe else ()
+    )
     for name in datasets:
         for corruption in corruptions:
             for ratio in ratios:
-                corrupt_id = f"corrupt:{name}:{corruption}:{ratio}"
+                for system in systems:
 
-                def catdb_cell(prepared, corrupted, name=name,
-                               corruption=corruption, ratio=ratio):
-                    train, test, catalog = corrupted
-                    report = run_catdb(
-                        prepared, llm_name=llm_name, seed=seed,
-                        catalog=catalog, train=train, test=test,
-                    )
-                    return {
-                        "dataset": name, "corruption": corruption,
-                        "ratio": ratio, "system": "catdb",
-                        "metric": report.primary_metric
-                        if report.success else None,
-                        "failure": "" if report.success else "N/A",
-                    }
-
-                graph.add(
-                    f"cell:{name}:{corruption}:{ratio}:catdb", catdb_cell,
-                    deps=(f"prepare:{name}", corrupt_id),
-                    config={"dataset": name, "corruption": corruption,
-                            "ratio": ratio, "system": "catdb",
-                            "llm": llm_name, "seed": seed, "quick": quick},
-                    seed=seed,
-                )
-
-                for tool in automl_tools:
-
-                    def automl_cell(prepared, corrupted, name=name,
-                                    corruption=corruption, ratio=ratio,
-                                    tool=tool):
-                        train, test, _catalog = corrupted
-                        automl = run_automl(
-                            prepared, tool,
+                    def cell(prepared, corrupted, name=name,
+                             corruption=corruption, ratio=ratio,
+                             system=system):
+                        # regression has no CAAFE analogue: emit no rows
+                        if (system == "caafe-rforest"
+                                and prepared.task_type == "regression"):
+                            return []
+                        train, test, catalog = corrupted
+                        report = run_system(
+                            prepared, system, llm_name=llm_name, seed=seed,
+                            catalog=catalog, train=train, test=test,
                             time_budget_seconds=automl_budget,
-                            seed=seed, train=train, test=test,
                         )
                         return {
                             "dataset": name, "corruption": corruption,
-                            "ratio": ratio, "system": tool,
-                            "metric": automl.primary_metric
-                            if automl.success else None,
-                            "failure": "" if automl.success
-                            else automl.failure_reason,
+                            "ratio": ratio, "system": system,
+                            "metric": report.primary_metric
+                            if report.success else None,
+                            "failure": failure_marker(report),
                         }
 
+                    config = {"dataset": name, "corruption": corruption,
+                              "ratio": ratio, "system": system,
+                              "llm": llm_name, "seed": seed, "quick": quick}
+                    if SYSTEMS[system].kind == "automl":
+                        del config["llm"]  # AutoML tools take no LLM
                     graph.add(
-                        f"cell:{name}:{corruption}:{ratio}:{tool}",
-                        automl_cell,
-                        deps=(f"prepare:{name}", corrupt_id),
-                        config={"dataset": name, "corruption": corruption,
-                                "ratio": ratio, "system": tool,
-                                "seed": seed, "quick": quick},
-                        seed=seed,
-                    )
-
-                if include_caafe:
-
-                    def caafe_cell(prepared, corrupted, name=name,
-                                   corruption=corruption, ratio=ratio):
-                        # regression has no CAAFE analogue: emit no rows
-                        if prepared.task_type == "regression":
-                            return []
-                        train, test, _catalog = corrupted
-                        caafe = run_llm_baseline(
-                            prepared, "caafe-rforest", llm_name=llm_name,
-                            seed=seed, train=train, test=test,
-                        )
-                        return [{
-                            "dataset": name, "corruption": corruption,
-                            "ratio": ratio, "system": "caafe-rforest",
-                            "metric": caafe.primary_metric
-                            if caafe.success else None,
-                            "failure": "" if caafe.success
-                            else caafe.failure_reason,
-                        }]
-
-                    graph.add(
-                        f"cell:{name}:{corruption}:{ratio}:caafe-rforest",
-                        caafe_cell,
-                        deps=(f"prepare:{name}", corrupt_id),
-                        config={"dataset": name, "corruption": corruption,
-                                "ratio": ratio, "system": "caafe-rforest",
-                                "llm": llm_name, "seed": seed,
-                                "quick": quick},
-                        seed=seed,
+                        f"cell:{name}:{corruption}:{ratio}:{system}", cell,
+                        deps=(f"prepare:{name}",
+                              f"corrupt:{name}:{corruption}:{ratio}"),
+                        config=config, seed=seed,
                     )
 
     results = run_grid(graph, workers=workers, resume=resume,

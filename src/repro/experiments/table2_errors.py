@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.common import (
+    add_prepare_nodes,
     format_table,
     grid_rows,
-    prepare_dataset,
     run_grid,
 )
 from repro.generation.knowledge_base import ErrorTrace, KnowledgeBase
@@ -86,12 +86,7 @@ def run(
     from repro.llm.mock import MockLLM
 
     graph = JobGraph()
-    for name in datasets:
-        graph.add(
-            f"prepare:{name}",
-            lambda name=name: prepare_dataset(name, seed=seed, quick=quick),
-            seed=seed,
-        )
+    add_prepare_nodes(graph, datasets, seed, quick)
     for llm_name in llms:
         for name in datasets:
             for iteration in range(iterations):

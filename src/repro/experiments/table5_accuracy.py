@@ -11,19 +11,19 @@ behind CatDB refined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.baselines.cleaning import Learn2CleanLike, SagaLike
 from repro.catalog.refinement import refine_catalog
 from repro.experiments.common import (
+    add_prepare_nodes,
+    failure_marker,
     format_table,
     grid_rows,
     metric_str,
-    prepare_dataset,
-    run_automl,
-    run_catdb,
     run_grid,
-    run_llm_baseline,
+    run_system,
 )
 from repro.experiments.table4_refinement import REFINEMENT_DATASETS
 from repro.llm.mock import MockLLM
@@ -95,12 +95,8 @@ def run(
     progress: bool = False,
 ) -> Table5Result:
     graph = JobGraph()
+    add_prepare_nodes(graph, datasets, seed, quick)
     for name in datasets:
-        graph.add(
-            f"prepare:{name}",
-            lambda name=name: prepare_dataset(name, seed=seed, quick=quick),
-            seed=seed,
-        )
 
         def refine(prepared):
             refine_llm = MockLLM(llm_name, seed=seed, fault_injection=False)
@@ -129,98 +125,63 @@ def run(
         graph.add(f"clean:{name}", clean, deps=(f"prepare:{name}",),
                   seed=seed)
 
+    llm_config = {"llm": llm_name, "seed": seed, "quick": quick}
+    automl_config = {"seed": seed, "budget": automl_budget, "quick": quick}
     for name in datasets:
 
-        def original_cell(prepared, name=name):
-            report = run_catdb(prepared, llm_name=llm_name, seed=seed)
-            return _row(name, "catdb-original", report.metrics,
-                        "" if report.success else "N/A")
+        def add_cell(label, cell, config, upstream=()):
+            graph.add(
+                f"cell:{name}:{label}", cell,
+                deps=(f"prepare:{name}", *upstream),
+                config={"dataset": name, "system": label, **config},
+                seed=seed,
+            )
 
-        graph.add(
-            f"cell:{name}:catdb-original", original_cell,
-            deps=(f"prepare:{name}",),
-            config={"dataset": name, "system": "catdb-original",
-                    "llm": llm_name, "seed": seed, "quick": quick},
-            seed=seed,
-        )
+        def system_cell(prepared, *, label, system, name=name):
+            report = run_system(prepared, system, llm_name=llm_name,
+                                seed=seed, time_budget_seconds=automl_budget)
+            return _row(name, label, report.metrics, failure_marker(report))
 
         def refined_cell(prepared, refined, name=name):
             refinement, refined_test = refined
-            report = run_catdb(
-                prepared, llm_name=llm_name, seed=seed,
+            report = run_system(
+                prepared, "catdb", llm_name=llm_name, seed=seed,
                 catalog=refinement.catalog, train=refinement.table,
                 test=refined_test,
             )
             return _row(name, "catdb-refined", report.metrics,
-                        "" if report.success else "N/A")
+                        failure_marker(report))
 
-        graph.add(
-            f"cell:{name}:catdb-refined", refined_cell,
-            deps=(f"prepare:{name}", f"refine:{name}"),
-            config={"dataset": name, "system": "catdb-refined",
-                    "llm": llm_name, "seed": seed, "quick": quick},
-            seed=seed,
-        )
-
+        add_cell("catdb-original", partial(
+            system_cell, label="catdb-original", system="catdb"), llm_config)
+        add_cell("catdb-refined", refined_cell, llm_config,
+                 upstream=(f"refine:{name}",))
         for system in ("caafe-tabpfn", "caafe-rforest", "aide", "autogen"):
-
-            def baseline_cell(prepared, name=name, system=system):
-                report = run_llm_baseline(prepared, system,
-                                          llm_name=llm_name, seed=seed)
-                return _row(name, system, report.metrics,
-                            "" if report.success
-                            else report.failure_reason or "N/A")
-
-            graph.add(
-                f"cell:{name}:{system}", baseline_cell,
-                deps=(f"prepare:{name}",),
-                config={"dataset": name, "system": system,
-                        "llm": llm_name, "seed": seed, "quick": quick},
-                seed=seed,
-            )
-
+            add_cell(system, partial(system_cell, label=system, system=system),
+                     llm_config)
         for tool in automl_tools:
-
-            def automl_cell(prepared, name=name, tool=tool):
-                report = run_automl(prepared, tool,
-                                    time_budget_seconds=automl_budget,
-                                    seed=seed)
-                return _row(name, tool, report.metrics,
-                            "" if report.success
-                            else report.failure_reason or "N/A")
-
-            graph.add(
-                f"cell:{name}:{tool}", automl_cell,
-                deps=(f"prepare:{name}",),
-                config={"dataset": name, "system": tool, "seed": seed,
-                        "budget": automl_budget, "quick": quick},
-                seed=seed,
-            )
+            add_cell(tool, partial(system_cell, label=tool, system=tool),
+                     automl_config)
 
         for tool in automl_tools:
 
             def clean_cell(prepared, best_clean, name=name, tool=tool):
                 if best_clean is None or best_clean.cleaned is None:
                     return _row(name, f"clean+{tool}", {}, "N/A")
-                report = run_automl(
-                    prepared, tool, time_budget_seconds=automl_budget,
-                    seed=seed, train=best_clean.cleaned, test=prepared.test,
+                report = run_system(
+                    prepared, tool, seed=seed,
+                    time_budget_seconds=automl_budget,
+                    train=best_clean.cleaned, test=prepared.test,
                 )
                 return _row(
                     name, f"clean+{tool}", report.metrics,
-                    "" if report.success else report.failure_reason or "N/A",
+                    failure_marker(report),
                     extra={"cleaning_method": best_clean.system,
                            "cleaning_pipeline": best_clean.pipeline_label},
                 )
 
-            graph.add(
-                f"cell:{name}:clean+{tool}", clean_cell,
-                deps=(f"prepare:{name}", f"clean:{name}"),
-                config={"dataset": name, "system": f"clean+{tool}",
-                        "seed": seed, "budget": automl_budget,
-                        "quick": quick},
-                seed=seed,
-            )
+            add_cell(f"clean+{tool}", clean_cell, automl_config,
+                     upstream=(f"clean:{name}",))
 
     results = run_grid(graph, workers=workers, resume=resume,
                        progress=progress, label="table5")

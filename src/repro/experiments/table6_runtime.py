@@ -10,17 +10,17 @@ upfront cost; CAAFE is dominated by its fixed model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.baselines.cleaning import Learn2CleanLike, SagaLike
 from repro.baselines.augmentation import adasyn_like, imbalanced_regression_resample
 from repro.catalog.refinement import refine_catalog
 from repro.experiments.common import (
+    add_prepare_nodes,
     format_table,
     grid_rows,
-    prepare_dataset,
-    run_catdb,
     run_grid,
-    run_llm_baseline,
+    run_system,
 )
 from repro.experiments.table4_refinement import REFINEMENT_DATASETS
 from repro.llm.mock import MockLLM
@@ -66,12 +66,8 @@ def run(
     import time
 
     graph = JobGraph()
+    add_prepare_nodes(graph, datasets, seed, quick)
     for name in datasets:
-        graph.add(
-            f"prepare:{name}",
-            lambda name=name: prepare_dataset(name, seed=seed, quick=quick),
-            seed=seed,
-        )
 
         def refine(prepared):
             refine_llm = MockLLM(llm_name, seed=seed, fault_injection=False)
@@ -83,64 +79,41 @@ def run(
         graph.add(f"refine:{name}", refine, deps=(f"prepare:{name}",),
                   seed=seed)
 
+    def runtime_row(name, label, report):
+        return {
+            "dataset": name, "system": label,
+            "seconds": report.pipeline_runtime_seconds
+            if report.success else None,
+        }
+
     for name in datasets:
 
-        def original_cell(prepared, name=name):
-            report = run_catdb(prepared, llm_name=llm_name, seed=seed)
-            return {
-                "dataset": name, "system": "catdb-original",
-                "seconds": report.pipeline_runtime_seconds
-                if report.success else None,
-            }
+        def add_cell(label, cell, upstream=()):
+            graph.add(
+                f"cell:{name}:{label}", cell,
+                deps=(f"prepare:{name}", *upstream),
+                config={"dataset": name, "system": label, "llm": llm_name,
+                        "seed": seed, "quick": quick},
+                seed=seed,
+            )
 
-        graph.add(
-            f"cell:{name}:catdb-original", original_cell,
-            deps=(f"prepare:{name}",),
-            config={"dataset": name, "system": "catdb-original",
-                    "llm": llm_name, "seed": seed, "quick": quick},
-            seed=seed,
-        )
+        def system_cell(prepared, *, label, system, name=name):
+            return runtime_row(name, label, run_system(
+                prepared, system, llm_name=llm_name, seed=seed))
 
         def refined_cell(prepared, refined, name=name):
             refinement, refined_test = refined
-            report = run_catdb(
-                prepared, llm_name=llm_name, seed=seed,
+            return runtime_row(name, "catdb-refined", run_system(
+                prepared, "catdb", llm_name=llm_name, seed=seed,
                 catalog=refinement.catalog, train=refinement.table,
                 test=refined_test,
-            )
-            return {
-                "dataset": name, "system": "catdb-refined",
-                "seconds": report.pipeline_runtime_seconds
-                if report.success else None,
-            }
+            ))
 
-        graph.add(
-            f"cell:{name}:catdb-refined", refined_cell,
-            deps=(f"prepare:{name}", f"refine:{name}"),
-            config={"dataset": name, "system": "catdb-refined",
-                    "llm": llm_name, "seed": seed, "quick": quick},
-            seed=seed,
-        )
-
+        add_cell("catdb-original", partial(
+            system_cell, label="catdb-original", system="catdb"))
+        add_cell("catdb-refined", refined_cell, upstream=(f"refine:{name}",))
         for system in ("caafe-tabpfn", "caafe-rforest", "aide", "autogen"):
-
-            def baseline_cell(prepared, name=name, system=system):
-                report = run_llm_baseline(
-                    prepared, system, llm_name=llm_name, seed=seed
-                )
-                return {
-                    "dataset": name, "system": system,
-                    "seconds": report.pipeline_runtime_seconds
-                    if report.success else None,
-                }
-
-            graph.add(
-                f"cell:{name}:{system}", baseline_cell,
-                deps=(f"prepare:{name}",),
-                config={"dataset": name, "system": system,
-                        "llm": llm_name, "seed": seed, "quick": quick},
-                seed=seed,
-            )
+            add_cell(system, partial(system_cell, label=system, system=system))
 
         def workflow_cell(prepared, name=name):
             # cleaning + augmentation upfront cost (the workflow's

@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 from repro.baselines.cleaning import Learn2CleanLike
 from repro.experiments.common import (
     LLM_PROFILES,
+    SYSTEMS,
+    add_prepare_nodes,
+    failure_marker,
     format_table,
     grid_rows,
     metric_str,
-    prepare_dataset,
-    run_automl,
-    run_catdb,
     run_grid,
-    run_llm_baseline,
+    run_system,
 )
 from repro.runner import JobGraph
 
@@ -84,67 +84,36 @@ def run(
     progress: bool = False,
 ) -> Table7Result:
     graph = JobGraph()
+    add_prepare_nodes(graph, datasets, seed, quick)
     catdb_cells: dict[str, list[str]] = {}
     for name in datasets:
-        graph.add(
-            f"prepare:{name}",
-            lambda name=name: prepare_dataset(name, seed=seed, quick=quick),
-            seed=seed,
-        )
         catdb_cells[name] = []
         for llm in llms:
             for system in _LLM_SYSTEMS:
-                if system in ("catdb", "catdb-chain"):
 
-                    def catdb_cell(prepared, name=name, llm=llm,
-                                   system=system):
-                        report = run_catdb(
-                            prepared, llm_name=llm,
-                            beta=1 if system == "catdb" else 2,
-                            max_fix_attempts=max_fix_attempts, seed=seed,
-                        )
-                        return {
-                            "dataset": name, "llm": llm, "system": system,
-                            "metric": report.primary_metric
-                            if report.success else None,
-                            "failure": "" if report.success else "N/A",
-                            "tokens": report.total_tokens,
-                            "seconds": report.end_to_end_seconds,
-                        }
-
-                    graph.add(
-                        f"cell:{name}:{llm}:{system}", catdb_cell,
-                        deps=(f"prepare:{name}",),
-                        config={"dataset": name, "llm": llm,
-                                "system": system, "seed": seed,
-                                "quick": quick},
-                        seed=seed,
+                def llm_cell(prepared, name=name, llm=llm, system=system):
+                    report = run_system(
+                        prepared, system, llm_name=llm, seed=seed,
+                        max_fix_attempts=max_fix_attempts,
                     )
-                    catdb_cells[name].append(f"cell:{name}:{llm}:{system}")
-                else:
+                    return {
+                        "dataset": name, "llm": llm, "system": system,
+                        "metric": report.primary_metric
+                        if report.success else None,
+                        "failure": _short(failure_marker(report)),
+                        "tokens": report.total_tokens,
+                        "seconds": report.end_to_end_seconds,
+                    }
 
-                    def baseline_cell(prepared, name=name, llm=llm,
-                                      system=system):
-                        baseline = run_llm_baseline(prepared, system,
-                                                    llm_name=llm, seed=seed)
-                        return {
-                            "dataset": name, "llm": llm, "system": system,
-                            "metric": baseline.primary_metric
-                            if baseline.success else None,
-                            "failure": "" if baseline.success
-                            else _short(baseline.failure_reason),
-                            "tokens": baseline.total_tokens,
-                            "seconds": baseline.end_to_end_seconds,
-                        }
-
-                    graph.add(
-                        f"cell:{name}:{llm}:{system}", baseline_cell,
-                        deps=(f"prepare:{name}",),
-                        config={"dataset": name, "llm": llm,
-                                "system": system, "seed": seed,
-                                "quick": quick},
-                        seed=seed,
-                    )
+                job_id = graph.add(
+                    f"cell:{name}:{llm}:{system}", llm_cell,
+                    deps=(f"prepare:{name}",),
+                    config={"dataset": name, "llm": llm, "system": system,
+                            "seed": seed, "quick": quick},
+                    seed=seed,
+                )
+                if SYSTEMS[system].kind == "catdb":
+                    catdb_cells[name].append(job_id)
 
         # AutoML tools run once per dataset, budgeted by CatDB's runtime
         # (capped so the quick-mode suite stays fast on one core); the
@@ -169,14 +138,13 @@ def run(
         for tool in _AUTOML:
 
             def automl_cell(prepared, budget, name=name, tool=tool):
-                report = run_automl(prepared, tool,
-                                    time_budget_seconds=budget, seed=seed)
+                report = run_system(prepared, tool, seed=seed,
+                                    time_budget_seconds=budget)
                 return {
                     "dataset": name, "llm": "", "system": tool,
                     "metric": report.primary_metric
                     if report.success else None,
-                    "failure": "" if report.success
-                    else _short(report.failure_reason),
+                    "failure": _short(failure_marker(report)),
                     "tokens": 0, "seconds": report.end_to_end_seconds,
                 }
 
@@ -197,16 +165,15 @@ def run(
                         "system": f"clean+{tool}", "metric": None,
                         "failure": "N/A", "tokens": 0, "seconds": 0.0,
                     }
-                report = run_automl(
-                    prepared, tool, time_budget_seconds=budget, seed=seed,
+                report = run_system(
+                    prepared, tool, seed=seed, time_budget_seconds=budget,
                     train=clean.cleaned, test=prepared.test,
                 )
                 return {
                     "dataset": name, "llm": "", "system": f"clean+{tool}",
                     "metric": report.primary_metric
                     if report.success else None,
-                    "failure": "" if report.success
-                    else _short(report.failure_reason),
+                    "failure": _short(failure_marker(report)),
                     "tokens": 0,
                     "seconds":
                         report.end_to_end_seconds + clean.runtime_seconds,
@@ -232,6 +199,9 @@ def run(
 
 
 def _short(reason: str) -> str:
+    """Table 7's failure cell: OOM, TO or N/A (empty on success)."""
+    if not reason:
+        return ""
     if reason.startswith("OOM"):
         return "OOM"
     if reason.startswith("TO"):

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 from repro.experiments.common import (
     LLM_PROFILES,
+    add_prepare_nodes,
     format_table,
     grid_rows,
-    prepare_dataset,
-    run_catdb,
     run_grid,
-    run_llm_baseline,
+    run_system,
 )
 from repro.experiments.table7_single_iteration import TABLE7_DATASETS
 from repro.runner import JobGraph
@@ -79,33 +78,18 @@ def run(
     progress: bool = False,
 ) -> Table8Result:
     graph = JobGraph()
-    for name in datasets:
-        graph.add(
-            f"prepare:{name}",
-            lambda name=name: prepare_dataset(name, seed=seed, quick=quick),
-            seed=seed,
-        )
+    add_prepare_nodes(graph, datasets, seed, quick)
     for name in datasets:
         for llm in llms:
             for system in _SYSTEMS:
 
                 def cell(prepared, name=name, llm=llm, system=system):
-                    if system in ("catdb", "catdb-chain"):
-                        report = run_catdb(
-                            prepared, llm_name=llm,
-                            beta=1 if system == "catdb" else 2, seed=seed,
-                        )
-                        return {
-                            "dataset": name, "llm": llm, "system": system,
-                            "success": report.success,
-                            "seconds": report.end_to_end_seconds,
-                        }
-                    baseline = run_llm_baseline(prepared, system,
-                                                llm_name=llm, seed=seed)
+                    report = run_system(prepared, system, llm_name=llm,
+                                        seed=seed)
                     return {
                         "dataset": name, "llm": llm, "system": system,
-                        "success": baseline.success,
-                        "seconds": baseline.end_to_end_seconds,
+                        "success": report.success,
+                        "seconds": report.end_to_end_seconds,
                     }
 
                 graph.add(

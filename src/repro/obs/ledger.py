@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.obs.trace import aggregate_spans, render_span_tree
+from repro.text_table import format_table
 
 __all__ = [
     "RunRecord",
@@ -30,27 +31,6 @@ __all__ = [
 ]
 
 _RUNS_DIR_ENV = "REPRO_RUNS_DIR"
-
-
-def _format_table(
-    headers: list[str], rows: list[list[Any]], title: str = ""
-) -> str:
-    """Fixed-width text table (obs-local twin of experiments.common's)."""
-    columns = [
-        [str(h)] + [str(r[i]) for r in rows] for i, h in enumerate(headers)
-    ]
-    widths = [max(len(cell) for cell in col) for col in columns]
-
-    def line(cells: list[Any]) -> str:
-        return " | ".join(str(c).ljust(w) for c, w in zip(cells, widths))
-
-    out = []
-    if title:
-        out.append(title)
-    out.append(line(headers))
-    out.append("-+-".join("-" * w for w in widths))
-    out.extend(line(row) for row in rows)
-    return "\n".join(out)
 
 
 def default_ledger_path() -> Path:
@@ -258,7 +238,7 @@ class RunDiff:
             f"run B: {self.b.run_id}  ({self.b.kind} {self.b.dataset} "
             f"{self.b.llm}, {self.b.created_at})"
         )
-        phase_table = _format_table(
+        phase_table = format_table(
             ["phase", "A [s]", "B [s]", "Δ [s]", "A tok", "B tok", "Δ tok"],
             [
                 [r["phase"], f"{r['seconds_a']:.3f}", f"{r['seconds_b']:.3f}",
@@ -271,7 +251,7 @@ class RunDiff:
         counter_rows = self.counter_rows()
         parts = [header, "", phase_table]
         if counter_rows:
-            parts += ["", _format_table(
+            parts += ["", format_table(
                 ["counter", "A", "B", "Δ"],
                 [[r["counter"], r["a"], r["b"], f"{r['delta']:+g}"]
                  for r in counter_rows],
@@ -297,7 +277,7 @@ def render_record(record: RunRecord) -> str:
         lines += ["", "span tree:", render_span_tree(record.spans)]
     counters = record.metrics.get("counters", {})
     if counters:
-        lines += ["", _format_table(
+        lines += ["", format_table(
             ["counter", "value"],
             [[k, f"{v:g}"] for k, v in sorted(counters.items())],
             title="counters",
@@ -308,7 +288,7 @@ def render_record(record: RunRecord) -> str:
 def render_records_table(records: list[RunRecord]) -> str:
     if not records:
         return "(no recorded runs)"
-    return _format_table(
+    return format_table(
         ["run id", "kind", "dataset", "llm", "created", "wall[s]",
          "tokens", "success"],
         [

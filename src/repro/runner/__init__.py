@@ -3,8 +3,7 @@
 The paper's Section-5 evaluation is a dataset x system x LLM-profile
 grid; this package turns each grid into a :class:`~repro.runner.job.\
 JobGraph` — ``prepare_dataset`` as a shared upstream node, every
-``run_catdb`` / ``run_llm_baseline`` / ``run_automl`` cell as a fan-out
-node — and executes it on a worker pool
+``run_system`` cell as a fan-out node — and executes it on a worker pool
 (:class:`~repro.runner.scheduler.Scheduler`) with per-job seeded RNG,
 per-cell failure isolation, ledger-backed resume, and live progress.
 ``workers=1`` replays the legacy sequential drivers bit-identically.

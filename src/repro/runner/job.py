@@ -3,8 +3,7 @@
 An experiment grid (dataset x system x LLM profile) becomes a small DAG:
 ``prepare_dataset`` is one shared *setup* node per dataset, derived
 artifacts (refinement, cleaning, corruption) are further setup nodes, and
-every ``run_catdb`` / ``run_llm_baseline`` / ``run_automl`` cell is a
-fan-out *cell* node depending on them.  The scheduler
+every ``run_system`` cell is a fan-out *cell* node depending on them.  The scheduler
 (:mod:`repro.runner.scheduler`) executes the DAG on a worker pool.
 
 Determinism is by construction: a job's work may depend only on its

@@ -20,9 +20,8 @@ from repro.experiments.common import (
     format_table,
     metric_str,
     prepare_dataset,
-    run_automl,
     run_catdb,
-    run_llm_baseline,
+    run_system,
 )
 
 
@@ -38,15 +37,15 @@ class TestCommon:
         report = run_catdb(prepared, fault_injection=False)
         assert report.success
 
-    def test_run_llm_baseline_validates_name(self):
+    def test_run_system_validates_llm_baseline_name(self):
         prepared = prepare_dataset("wifi", quick=True)
         with pytest.raises(ValueError):
-            run_llm_baseline(prepared, "gpt-agent")
+            run_system(prepared, "gpt-agent")
 
-    def test_run_automl_validates_name(self):
+    def test_run_system_validates_automl_name(self):
         prepared = prepare_dataset("wifi", quick=True)
         with pytest.raises(ValueError):
-            run_automl(prepared, "tpot")
+            run_system(prepared, "tpot", time_budget_seconds=8.0)
 
     def test_metric_str(self):
         assert metric_str(0.912) == "91.2"

@@ -22,6 +22,7 @@ from repro.analysis import (
     undefined_uses,
 )
 from repro.analysis.engine import _classify_syntax_error
+from repro.analysis.rules import STDLIB_GLOBAL_RNG_FNS
 from repro.catalog.profiler import profile_table
 from repro.generation.generator import CatDB
 from repro.llm import faults
@@ -702,6 +703,28 @@ class TestRepoProfile:
         assert "unseeded-random" in _error_rules(code, profile="repo")
         seeded = "import numpy as np\nrng = np.random.default_rng(0)\n"
         assert analyze_source(seeded, profile="repo").ok
+
+    @pytest.mark.parametrize("name", sorted(STDLIB_GLOBAL_RNG_FNS))
+    def test_both_rng_rules_flag_every_stdlib_global(self, name):
+        # one table feeds both profiles: a name one rule misses would let
+        # global draws through the other's gate (the sets had drifted)
+        for code in (f"import random\nx = random.{name}()\n",
+                     f"from random import {name}\nx = {name}()\n"):
+            repo = analyze_source(code, profile="repo").errors()
+            assert [f.message for f in repo] == [
+                f"stdlib global RNG call 'random.{name}' "
+                "(thread a seeded Generator instead)"
+            ]
+            pipeline = [f for f in analyze_source(code).warnings()
+                        if f.rule_id == "nondeterminism"]
+            assert [f.message for f in pipeline] == [
+                f"call to stdlib global RNG 'random.{name}' "
+                "(unseeded; results will not reproduce)"
+            ]
+
+    def test_rng_state_save_restore_not_flagged(self):
+        code = "import random\nstate = random.getstate()\nrandom.setstate(state)\n"
+        assert analyze_source(code, profile="repo").ok
 
     def test_wall_clock_warns(self):
         code = "import time\nstamp = time.time()\n"
