@@ -17,7 +17,7 @@ Three classic analyses then run per graphed scope, all as worklist
 fixpoints over :mod:`repro.analysis.cfg` graphs:
 
 - **Reaching definitions** (may, forward): which assignments of a name
-  can reach each program point.  Def-use chains fall out directly.
+  can reach each program point.
 - **Definite assignment** (must, forward): which names are bound on
   *every* path into a program point.  A use with no reaching definition
   is a *definite* use-before-def; a use that is reached by some
@@ -142,18 +142,10 @@ class FitCall:
 
 @dataclass
 class ScopeFlow:
-    """Per-scope analysis results (module body or one function body)."""
+    """One graphed scope (module body or one function body) and its CFG."""
 
     name: str
     cfg: CFG
-    params: tuple[str, ...]
-    bindings: frozenset[str]
-    # node index -> set of (name, defining node index); entry-index pairs
-    # stand for parameter bindings
-    reach_in: dict[int, set[tuple[str, int]]] = field(default_factory=dict)
-    # (name, use node index) -> defining node indices that reach the use
-    def_use: dict[tuple[str, int], frozenset[int]] = field(default_factory=dict)
-    taint_in: dict[int, dict[str, Taint]] = field(default_factory=dict)
 
 
 @dataclass
@@ -934,7 +926,6 @@ def _seed_taints(
 
 
 def _scope_use_before_def(
-    flow: ScopeFlow,
     cfg: CFG,
     reach_in: dict[int, set[tuple[str, int]]],
     bound_in: dict[int, set[str] | None],
@@ -955,10 +946,9 @@ def _scope_use_before_def(
                 continue
             if name in seen_here:
                 continue
-            reaching = {
-                d for (n, d) in reach_in.get(node.index, set()) if n == name
-            }
-            flow.def_use[(name, node.index)] = frozenset(reaching)
+            reaching = any(
+                n == name for (n, _) in reach_in.get(node.index, set())
+            )
             if not reaching:
                 seen_here.add(name)
                 result.use_before_def.append(
@@ -967,7 +957,7 @@ def _scope_use_before_def(
                         lineno=use.lineno,
                         col=use.col_offset,
                         definite=True,
-                        scope=flow.name,
+                        scope=cfg.name,
                     )
                 )
                 continue
@@ -980,7 +970,7 @@ def _scope_use_before_def(
                         lineno=use.lineno,
                         col=use.col_offset,
                         definite=False,
-                        scope=flow.name,
+                        scope=cfg.name,
                     )
                 )
 
@@ -1011,17 +1001,7 @@ def analyze_dataflow(
             cfg, _seed_taints(scope.node), _TaintInterp(aliases, facts)
         )
 
-        flow = ScopeFlow(
-            name=cfg.name,
-            cfg=cfg,
-            params=params,
-            bindings=candidates,
-            reach_in=reach_in,
-            taint_in=taint_in,
-        )
-        _scope_use_before_def(
-            flow, cfg, reach_in, bound_in, candidates, facts, result
-        )
+        _scope_use_before_def(cfg, reach_in, bound_in, candidates, facts, result)
 
         # final recording pass with the fixpoint IN environments
         recorder = _TaintInterp(aliases, facts, record=result)
@@ -1030,5 +1010,5 @@ def analyze_dataflow(
             if node.index in reachable and node.kind not in ("entry", "exit"):
                 recorder.transfer(node, taint_in.get(node.index, {}))
 
-        result.scopes.append(flow)
+        result.scopes.append(ScopeFlow(name=cfg.name, cfg=cfg))
     return result

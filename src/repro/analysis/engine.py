@@ -13,7 +13,6 @@ analyzes each file in turn and returns reports ordered by path.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -27,6 +26,7 @@ from repro.analysis.rules import (
     Rule,
     RuleConfig,
     Severity,
+    parse_source,
     run_rules,
 )
 from repro.generation.errors import ERROR_TYPES, PipelineError
@@ -133,7 +133,7 @@ def analyze_source(
     """
     rules = PROFILES[profile]
     try:
-        tree = ast.parse(code)
+        tree = parse_source(code)
     except SyntaxError as exc:
         type_name = _classify_syntax_error(code, exc)
         finding = Finding(

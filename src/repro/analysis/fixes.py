@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.analysis.rules import Finding, RuleConfig
+from repro.analysis.rules import Finding, RuleConfig, parse_source
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.catalog import DataCatalog
@@ -77,7 +77,7 @@ class FixResult:
 
 def _parses(code: str) -> bool:
     try:
-        ast.parse(code)
+        parse_source(code)
     except SyntaxError:
         return False
     return True
@@ -115,7 +115,7 @@ def _import_line_for(symbol: str) -> str | None:
 
 def _insert_after_imports(code: str, new_lines: list[str]) -> str:
     """Insert lines after the last top-level import (or the docstring)."""
-    tree = ast.parse(code)
+    tree = parse_source(code)
     insert_at = 0
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -137,7 +137,7 @@ def _fix_missing_imports(code: str, target: FixTarget) -> str | None:
     from repro.analysis.pipeline_rules import KNOWN_LIBRARY_SYMBOLS
 
     try:
-        tree = ast.parse(code)
+        tree = parse_source(code)
     except SyntaxError:
         return None
     missing: list[str] = []
@@ -342,7 +342,7 @@ def _fix_policy_import(code: str, target: FixTarget) -> str | None:
         lines[idx] = line.replace(module, replacement)
         return "\n".join(lines)
     try:
-        tree = ast.parse(code)
+        tree = parse_source(code)
     except SyntaxError:
         return None
     node = next((
@@ -381,7 +381,7 @@ def _fix_unseeded(code: str, target: FixTarget) -> str | None:
 def _fix_entry_point(code: str, target: FixTarget) -> str | None:
     """Wrap the one plausible (train, test) function as ``run_pipeline``."""
     try:
-        tree = ast.parse(code)
+        tree = parse_source(code)
     except SyntaxError:
         return None
     defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]

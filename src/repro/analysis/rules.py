@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import enum
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
 
@@ -28,6 +29,7 @@ __all__ = [
     "Rule",
     "RuleConfig",
     "AnalysisContext",
+    "parse_source",
     "STDLIB_GLOBAL_RNG_FNS",
     "global_rng_call",
     "run_rules",
@@ -97,6 +99,20 @@ class RuleConfig:
         if override is None:
             return rule.default_severity
         return Severity(override)
+
+
+# CPython keeps the recursion depth of its AST-to-object conversion in
+# interpreter-wide state (seen on 3.11).  A thread switch inside that
+# conversion, such as a gc callback or finalizer running Python code,
+# lets a concurrent parse corrupt the count and raise ``SystemError``.
+# Grid workers analyze generated code in threads, so parses take turns.
+_PARSE_LOCK = threading.Lock()
+
+
+def parse_source(code: str) -> ast.Module:
+    """``ast.parse`` that is safe to call from several threads at once."""
+    with _PARSE_LOCK:
+        return ast.parse(code)
 
 
 class AnalysisContext:

@@ -22,7 +22,6 @@ from repro.generation.executor import execute_pipeline_code
 from repro.llm.base import LLMClient, extract_code_block
 from repro.llm.mock import embed_payload
 from repro.llm.tokenizer import count_tokens
-from repro.table.column import ColumnKind
 from repro.table.table import Table
 
 __all__ = ["AutoGenBaseline"]
@@ -55,12 +54,8 @@ class AutoGenBaseline:
         kind_map = {"numeric": "number", "string": "string", "boolean": "boolean"}
         entries = []
         for column in table:
-            present = [v for v in column.to_list() if v is not None]
             feature_type = infer_feature_type_heuristic(
-                present,
-                column.n_distinct / max(1, table.n_rows),
-                column.kind is ColumnKind.NUMERIC,
-                table.n_rows,
+                column, column.n_distinct / max(1, table.n_rows)
             )
             entry: dict[str, Any] = {
                 "name": column.name,
@@ -73,10 +68,9 @@ class AutoGenBaseline:
         return entries
 
     def _prompt(
-        self, train: Table, target: str, task_type: str,
-        round_index: int, error_note: str,
+        self, train: Table, schema: list[dict[str, Any]], target: str,
+        task_type: str, round_index: int, error_note: str,
     ) -> str:
-        schema = self._schema(train, target)
         lines = [
             "# AutoGen multi-agent session",
             _CONVERSATION_OVERHEAD,
@@ -111,8 +105,11 @@ class AutoGenBaseline:
         report = BaselineReport(system=self.name, dataset=train.name)
         start = time.perf_counter()
         error_note = ""
+        schema = self._schema(train, target)
         for round_index in range(self.max_rounds):
-            prompt = self._prompt(train, target, task_type, round_index, error_note)
+            prompt = self._prompt(
+                train, schema, target, task_type, round_index, error_note
+            )
             response = self.llm.complete(prompt)
             # conversational overhead: the planner/critic/executor turns
             overhead = count_tokens(_CONVERSATION_OVERHEAD) * 3

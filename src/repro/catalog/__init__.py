@@ -2,8 +2,9 @@
 
 Implements paper Sections 3.1-3.2: Algorithm 1 (PROFILING), the data
 catalog store, LLM-assisted catalog refinement (feature type inference,
-composite/sentence splitting, categorical deduplication), and the
-materialization of the prepared single-table dataset.
+composite/sentence splitting, categorical deduplication: decided once,
+then replayed on every split by ``RefinementResult.apply_to``), and the
+multi-table join into the prepared single-table dataset.
 """
 
 from repro.catalog.cache import (
@@ -14,7 +15,7 @@ from repro.catalog.cache import (
 )
 from repro.catalog.catalog import ColumnProfile, DataCatalog, DatasetInfo
 from repro.catalog.feature_types import FeatureType
-from repro.catalog.materialize import join_multi_table, materialize_refined
+from repro.catalog.materialize import join_multi_table
 from repro.catalog.profiler import profile_dataset, profile_table
 from repro.catalog.refinement import RefinementResult, refine_catalog
 from repro.catalog.streaming import (
@@ -29,7 +30,6 @@ __all__ = [
     "DatasetInfo",
     "FeatureType",
     "join_multi_table",
-    "materialize_refined",
     "profile_dataset",
     "profile_table",
     "profile_table_streaming",

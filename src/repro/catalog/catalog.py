@@ -111,26 +111,6 @@ class DataCatalog:
     def target_profile(self) -> ColumnProfile:
         return self[self.info.target]
 
-    # -- mutation ------------------------------------------------------------------
-
-    def replace(self, name: str, new_profiles: list[ColumnProfile]) -> None:
-        """Replace one column's profile by one or more (used by refinement)."""
-        if name not in self._profiles:
-            raise KeyError(f"no profile for column {name!r}")
-        rebuilt: dict[str, ColumnProfile] = {}
-        for existing_name, profile in self._profiles.items():
-            if existing_name == name:
-                for new_profile in new_profiles:
-                    rebuilt[new_profile.name] = new_profile
-            else:
-                rebuilt[existing_name] = profile
-        self._profiles = rebuilt
-
-    def drop(self, names: list[str]) -> None:
-        for name in names:
-            self._profiles.pop(name, None)
-        self.info.n_cols = len(self._profiles)
-
     def subset(self, names: list[str]) -> "DataCatalog":
         """Catalog restricted to ``names`` (target always kept)."""
         keep = list(names)

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Any, Sequence
+from typing import Sequence
+
+import numpy as np
+
+from repro.table.column import Column
 
 __all__ = [
     "FeatureType",
@@ -36,10 +40,7 @@ _EVIDENCE_CAP = 200
 
 
 def infer_feature_type_heuristic(
-    values: Sequence[Any],
-    distinct_fraction: float,
-    is_numeric: bool,
-    n_rows: int,
+    column: Column, distinct_fraction: float
 ) -> FeatureType:
     """Statistical baseline for feature-type inference.
 
@@ -47,29 +48,42 @@ def infer_feature_type_heuristic(
     (what a conventional profiler would assign).  The LLM refinement stage
     (:mod:`repro.catalog.refinement`) can override it using semantic
     evidence, which is the behaviour the paper evaluates in Table 4.
+
+    Each distinct value is read once, keyed type-exactly the way it
+    renders: the pool values the present cells use for dictionary
+    columns (``1``, ``True`` and ``1.0`` stay three values), the distinct
+    float64 bit patterns for numeric ones (``0.0`` and ``-0.0`` stay two).
     """
-    present = [v for v in values if v is not None]
-    if not present:
-        return FeatureType.CONSTANT
-    distinct = {str(v) for v in present}
-    if is_numeric:
-        all_integer = len(distinct) > 1 and all(
-            float(v).is_integer() for v in present
+    codes = column.codes
+    if codes is None:
+        present = column.numeric_values()[~column.missing]
+        if present.size == 0:
+            return FeatureType.CONSTANT
+        distinct_count = int(np.unique(present.view(np.uint64)).size)
+        all_integer = distinct_count > 1 and bool(
+            np.all(np.isfinite(present) & (np.floor(present) == present))
         )
         in_boolean_domain = False
     else:
+        present = codes[codes >= 0]
+        if present.size == 0:
+            return FeatureType.CONSTANT
+        used = np.flatnonzero(np.bincount(present, minlength=column.pool.shape[0]))
+        distinct = {str(v) for v in column.pool[used].tolist()}
+        distinct_count = len(distinct)
         all_integer = False
-        lowered = {str(v).strip().lower() for v in present}
-        in_boolean_domain = lowered <= _BOOLEAN_DOMAIN
+        in_boolean_domain = {v.strip().lower() for v in distinct} <= _BOOLEAN_DOMAIN
+    head = present[:_EVIDENCE_CAP]
+    evidence = head.tolist() if codes is None else column.pool[head].tolist()
     return infer_feature_type_from_stats(
-        n_present=len(present),
-        distinct_count=len(distinct),
+        n_present=int(present.size),
+        distinct_count=distinct_count,
         distinct_fraction=distinct_fraction,
-        is_numeric=is_numeric,
-        n_rows=n_rows,
+        is_numeric=codes is None,
+        n_rows=len(column),
         all_integer=all_integer,
         in_boolean_domain=in_boolean_domain,
-        evidence=[str(v) for v in present[:_EVIDENCE_CAP]],
+        evidence=[str(v) for v in evidence],
     )
 
 

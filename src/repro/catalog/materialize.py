@@ -3,32 +3,19 @@
 "After completing the refinement process, we update and overwrite the
 input dataset.  In detail, we apply the mapping of categorical features
 values and join multi-table datasets into a single table."
+
+The category mappings (and the other refinement operations) are applied
+by :meth:`repro.catalog.refinement.RefinementResult.apply_to`; this
+module holds the multi-table join.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
-from repro.table.column import Column
 from repro.table.table import Table
 
-__all__ = ["apply_category_mapping", "join_multi_table", "materialize_refined"]
-
-
-def apply_category_mapping(
-    table: Table, column: str, mapping: Mapping[Any, Any]
-) -> Table:
-    """Rewrite one column's values through a refined-category mapping."""
-    source = table[column]
-    values = [mapping.get(v, v) if v is not None else None for v in source]
-    out = Table(
-        (
-            Column(column, values) if name == column else table[name]
-            for name in table.column_names
-        ),
-        name=table.name,
-    )
-    return out
+__all__ = ["join_multi_table"]
 
 
 def join_multi_table(
@@ -59,18 +46,3 @@ def join_multi_table(
     assert current is not None
     return current
 
-
-def materialize_refined(
-    table: Table,
-    category_mappings: Mapping[str, Mapping[Any, Any]],
-    drop_columns: Sequence[str] = (),
-) -> Table:
-    """Apply all refinement category mappings and drops to a table."""
-    out = table
-    for column, mapping in category_mappings.items():
-        if column in out:
-            out = apply_category_mapping(out, column, mapping)
-    present = [c for c in drop_columns if c in out]
-    if present:
-        out = out.drop(present)
-    return out

@@ -81,9 +81,7 @@ def _profile_column_impl(
     distinct_pct = 100.0 * len(distinct) / n_rows if n_rows else 0.0
     missing_pct = 100.0 * column.n_missing / n_rows if n_rows else 0.0
     is_numeric = column.kind is ColumnKind.NUMERIC
-    feature_type = infer_feature_type_heuristic(
-        present, distinct_pct / 100.0, is_numeric, n_rows
-    )
+    feature_type = infer_feature_type_heuristic(column, distinct_pct / 100.0)
     is_categorical = feature_type in (FeatureType.CATEGORICAL, FeatureType.BOOLEAN)
 
     if is_categorical:

@@ -17,7 +17,6 @@ deterministic hand-crafted fallback pipeline as the last resort.
 
 from __future__ import annotations
 
-import ast
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from repro.catalog.catalog import DataCatalog
 from repro.generation.cost import CostModel
 from repro.analysis.engine import analyze_source
 from repro.analysis.fixes import fix_error, fix_findings
-from repro.analysis.rules import AnalysisContext, run_rules
+from repro.analysis.rules import AnalysisContext, parse_source, run_rules
 from repro.generation.errors import ErrorGroup, PipelineError
 from repro.generation.executor import ExecutionResult, execute_pipeline_code, select_primary_metric
 from repro.generation.knowledge_base import KnowledgeBase
@@ -181,7 +180,7 @@ class _GeneratorBase:
         """
         while True:
             try:
-                tree = ast.parse(code)
+                tree = parse_source(code)
             except SyntaxError:
                 return code
             findings = run_rules(AnalysisContext(code, tree), (self.library_policy,))

@@ -13,7 +13,7 @@ from repro.catalog.feature_types import (
     infer_feature_type_heuristic,
 )
 from repro.catalog.profiler import numeric_statistics, profile_dataset, profile_table
-from repro.table.column import Column
+from repro.table.column import Column, ColumnKind
 from repro.table.table import Table
 
 
@@ -121,25 +121,6 @@ class TestDataCatalogStore:
         sub = classification_catalog.subset(["x1"])
         assert set(sub.column_names) == {"x1", "label"}
 
-    def test_replace_profile(self, classification_catalog):
-        replacement = ColumnProfile(
-            name="cat2", data_type="string",
-            feature_type=FeatureType.CATEGORICAL, is_categorical=True,
-            distinct_count=1, distinct_percentage=1.0,
-            missing_count=0, missing_percentage=0.0,
-        )
-        classification_catalog.replace("cat", [replacement])
-        assert "cat2" in classification_catalog
-        assert "cat" not in classification_catalog
-
-    def test_replace_unknown_raises(self, classification_catalog):
-        with pytest.raises(KeyError):
-            classification_catalog.replace("zz", [])
-
-    def test_drop(self, classification_catalog):
-        classification_catalog.drop(["x1"])
-        assert "x1" not in classification_catalog
-
     def test_duplicate_profile_rejected(self):
         info = DatasetInfo("d", "binary", "y", 1, 1)
         profile = ColumnProfile(
@@ -215,8 +196,65 @@ class TestFeatureTypeEvidence:
             n_rows = len(values)
             present = [v for v in values if v is not None]
             fraction = len(set(present)) / n_rows
-            new = infer_feature_type_heuristic(values, fraction, False, n_rows)
+            new = infer_feature_type_heuristic(Column(name, values), fraction)
             assert new is _full_evidence_type(values, fraction, False, n_rows), name
             seen.add(new)
         # both detectors fire on the columns that start with their shape
         assert {FeatureType.LIST, FeatureType.SENTENCE} <= seen
+
+
+def _per_cell_type(column, distinct_fraction):
+    """The heuristic as it was when it stringified every present cell."""
+    present = column.non_missing().tolist()
+    if not present:
+        return FeatureType.CONSTANT
+    is_numeric = column.kind is ColumnKind.NUMERIC
+    distinct = {str(v) for v in present}
+    if is_numeric:
+        all_integer = len(distinct) > 1 and all(float(v).is_integer() for v in present)
+        in_boolean_domain = False
+    else:
+        all_integer = False
+        in_boolean_domain = {str(v).strip().lower() for v in present} <= _BOOLEAN_DOMAIN
+    return infer_feature_type_from_stats(
+        n_present=len(present),
+        distinct_count=len(distinct),
+        distinct_fraction=distinct_fraction,
+        is_numeric=is_numeric,
+        n_rows=len(column),
+        all_integer=all_integer,
+        in_boolean_domain=in_boolean_domain,
+        evidence=[str(v) for v in present[:200]],
+    )
+
+
+class TestFeatureTypeDistinctKeys:
+    """Typing reads each distinct value once, keyed the way it renders, so
+    it must type every column as the per-cell stringifying version did."""
+
+    @staticmethod
+    def _columns():
+        hash_equal = np.array([1, True, 1.0, "1", None, 1, True], dtype=object)
+        return [
+            Column("hash_equal", [1, True, 1.0, "1", None] * 5),
+            Column.from_numpy("pool_kept_apart", hash_equal, kind="string"),
+            Column.from_numpy("numeric_pool", np.array([1, True, 2.0, None], dtype=object)),
+            Column("signed_zeros", [0.0, -0.0, 0.0, None]),
+            Column("two_zeros", [0.0, -0.0]),
+            Column("infinite", [1.0, float("inf"), 2.0, 3.0]),
+            Column("small_int_codes", [1.0, 2.0, 3.0] * 30),
+            Column("ids", list(range(100))),
+            Column("all_missing", [None, None]),
+            Column("all_missing_numeric", [None, None], kind="numeric"),
+            Column("booleans", [True, False, None]),
+            Column("boolean_tokens", ["yes", "No", "Y ", "t"]),
+            Column("categories", ["a", "b", None, "a"] * 20),
+            Column("no_rows", [], kind="numeric"),
+        ]
+
+    def test_same_type_as_per_cell(self):
+        for column in self._columns():
+            n = len(column)
+            fraction = column.n_distinct / n if n else 0.0
+            expected = _per_cell_type(column, fraction)
+            assert infer_feature_type_heuristic(column, fraction) is expected, column.name

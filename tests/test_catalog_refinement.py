@@ -1,16 +1,17 @@
 """Tests for LLM-assisted catalog refinement (Section 3.2 / Figures 4-5)."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.feature_types import FeatureType
-from repro.catalog.materialize import (
-    apply_category_mapping,
-    join_multi_table,
-    materialize_refined,
-)
+from repro.catalog.materialize import join_multi_table
 from repro.catalog.profiler import profile_table
-from repro.catalog.refinement import refine_catalog
+from repro.catalog.refinement import RefinementResult, refine_catalog
 from repro.llm.mock import MockLLM
+from repro.table.column import ColumnKind
 from repro.table.table import Table
 
 
@@ -89,20 +90,84 @@ class TestRefinementWorkflow:
         result = refine_catalog(t, catalog, llm)
         assert result.table["n"].kind.value == "numeric"
 
+    def test_input_catalog_unchanged(self, salary_table, llm):
+        catalog = profile_table(salary_table, target="Salary", task_type="regression")
+        before = json.dumps(catalog.to_dict(), default=str)
+        refine_catalog(salary_table, catalog, llm)
+        assert json.dumps(catalog.to_dict(), default=str) == before
+
+
+def _catalog_for(table, target):
+    return profile_table(table, target=target, task_type="multiclass")
+
+
+class TestApplyTo:
+    """``apply_to`` replays the logged decisions; it never re-decides."""
+
+    def test_two_row_split_keeps_composite_parts(self, salary_refinement, salary_table):
+        # two cells are too few to re-detect the composite, so the
+        # recorded spec is what splits them
+        out = salary_refinement.apply_to(salary_table.head(2))
+        assert "Address" not in out
+        assert "State" in out and "Zip" in out
+        assert out["State"].to_list() == [
+            str(v).split()[-1] for v in salary_table["Address"].to_list()[:2]
+        ]
+
+    def test_numeric_looking_dedupe_replays_as_string(self):
+        table = Table.from_dict({"code": ["one", "1", "two"], "y": ["a", "b", "a"]})
+        result = RefinementResult(
+            table=table,
+            catalog=_catalog_for(table, "y"),
+            operations=[{"column": "code", "op": "dedupe_categories"}],
+            category_mappings={"code": {"one": "1", "1": "1", "two": "2"}},
+        )
+        out = result.apply_to(table)
+        assert out["code"].kind is ColumnKind.STRING
+        assert out["code"].to_list() == ["1", "1", "2"]
+
+
+_GENDERS = ["F", "Female", "M", "Male", "female", None]
+_STATES = ["CA", "TX", "NY"]
+
+
+@st.composite
+def dirty_tables(draw):
+    """Small Figure-1-style tables: messy categories, composites, constants."""
+    n = draw(st.integers(min_value=8, max_value=40))
+    rows = st.lists(st.integers(min_value=0, max_value=10_000), min_size=n, max_size=n)
+    picks = draw(rows)
+    zips = draw(rows)
+    return Table.from_dict(
+        {
+            "Gender": [_GENDERS[p % len(_GENDERS)] for p in picks],
+            "Address": [f"{1000 + z % 9000} {_STATES[z % 3]}" for z in zips],
+            "Count": [str(z % 97) for z in zips],
+            "Const": ["k"] * n,
+            "y": ["yes" if (p + z) % 3 else "no" for p, z in zip(picks, zips)],
+        },
+        name="dirty",
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=dirty_tables())
+def test_replay_on_refined_split_reproduces_table(table):
+    result = refine_catalog(
+        table, _catalog_for(table, "y"), MockLLM("gemini-1.5", fault_injection=False)
+    )
+    replayed = result.apply_to(table)
+    assert [(c.name, c.kind, c.to_list()) for c in replayed] == [
+        (c.name, c.kind, c.to_list()) for c in result.table
+    ]
+
 
 class TestMaterialize:
-    def test_apply_category_mapping(self):
-        t = Table.from_dict({"g": ["F", "Male", None]})
-        out = apply_category_mapping(t, "g", {"F": "Female"})
-        assert out["g"].to_list() == ["Female", "Male", None]
-
-    def test_materialize_refined_applies_all(self):
-        t = Table.from_dict({"g": ["F", "Male"], "drop_me": [1, 2], "keep": [2, 3]})
-        out = materialize_refined(
-            t, {"g": {"F": "Female"}}, drop_columns=["drop_me", "ghost"]
-        )
-        assert out["g"].to_list() == ["Female", "Male"]
-        assert "drop_me" not in out
+    def test_apply_category_mapping(self, salary_refinement):
+        # the replay maps every present cell and passes missing ones through
+        t = Table.from_dict({"Gender": ["F", "Male", None]})
+        out = salary_refinement.apply_to(t)
+        assert out["Gender"].to_list() == ["Female", "Male", None]
 
     def test_join_multi_table_chain(self):
         fact = Table.from_dict({"a_id": [0, 1], "y": ["p", "q"]}, name="fact")

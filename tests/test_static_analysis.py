@@ -8,6 +8,9 @@ lock-reentry (breaker-deadlock) fixture, and the execution-skip audit (staticall
 """
 
 import ast
+import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from repro.analysis import (
     undefined_uses,
 )
 from repro.analysis.engine import _classify_syntax_error
-from repro.analysis.rules import STDLIB_GLOBAL_RNG_FNS
+from repro.analysis.rules import STDLIB_GLOBAL_RNG_FNS, parse_source
 from repro.catalog.profiler import profile_table
 from repro.generation.generator import CatDB
 from repro.llm import faults
@@ -821,3 +824,38 @@ class TestLintCli:
         from repro.cli import main
 
         assert main(["lint", str(tmp_path)]) == 2
+
+
+def test_parse_source_is_safe_across_threads():
+    # a gc callback runs Python code inside collections, which lets the
+    # interpreter switch threads in the middle of an AST conversion
+    source = "\n".join(
+        f"def f{i}(a, b):\n    return [x + {i} for x in (a, b) if x]"
+        for i in range(300)
+    )
+    errors: list[SystemError] = []
+
+    def on_collect(phase, info):
+        sum(range(50))
+
+    def parse_repeatedly():
+        try:
+            for _ in range(10):
+                parse_source(source)
+        except SystemError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=parse_repeatedly) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    gc.callbacks.append(on_collect)
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        gc.callbacks.remove(on_collect)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
