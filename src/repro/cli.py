@@ -37,6 +37,7 @@ ledger, ``--progress`` for a live cell counter; see
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import sys
 from typing import Any, Callable, Sequence
@@ -396,6 +397,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 primary_metric=P.report.primary_metric,
                 total_tokens=P.report.total_tokens,
                 fix_attempts=P.report.fix_attempts,
+                code_md5=hashlib.md5(P.code.encode()).hexdigest(),
             )
     print(f"success: {P.success}")
     if P.report.degraded:

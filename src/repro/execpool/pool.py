@@ -23,11 +23,17 @@ Life cycle:
   execution spawns a replacement.  Healthy workers are recycled after
   ``max_jobs_per_worker`` executions to bound slow leaks.
 
+- Fit reuse lives with the caller's run, not with a worker: a job
+  carries the caller's active :mod:`repro.ml.reuse` entries, and the
+  entries its fits added come back with the reply and are merged into
+  the caller's scope.  A job that is killed or crashes adds nothing.
+
 Observability (through the caller's active session, so concurrent grid
 cells attribute pool activity to their own records): ``execpool.execute``
 spans, ``execpool.jobs{status=}`` / ``execpool.spawns`` /
-``execpool.recycles`` / ``execpool.kills`` counters, and an
-``execpool.peak_child_rss_bytes`` gauge.
+``execpool.recycles`` / ``execpool.kills`` counters, an
+``execpool.peak_child_rss_bytes`` gauge, and the job's
+``ml.fit_reuse`` counts.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from repro.execpool.protocol import (
     write_frame,
 )
 from repro.generation.executor import ExecutionResult
+from repro.ml.reuse import merge_delta, scope_entries
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 
@@ -224,7 +231,7 @@ class ExecPool:
         job = ExecJob(
             code=code, train=train, test=test, filename=filename,
             timeout_seconds=timeout_seconds, memory_mb=memory_mb,
-            cpu_seconds=cpu_seconds,
+            cpu_seconds=cpu_seconds, reuse=scope_entries(),
         )
         metrics = get_metrics()
         start = time.perf_counter()
@@ -275,6 +282,8 @@ class ExecPool:
             worker.jobs_done = reply.jobs_done
             self._release(worker)
             self.stats["jobs"] += 1
+            if reply.reuse is not None:
+                merge_delta(reply.reuse)
             result: ExecutionResult = reply.result
             metrics.inc(
                 "execpool.jobs", status="ok" if result.success else "error"

@@ -67,6 +67,9 @@ class ExecJob:
     timeout_seconds: float | None = None
     memory_mb: int | None = None
     cpu_seconds: float | None = None
+    #: the caller's fit reuse entries (``repro.ml.reuse.scope_entries``);
+    #: ``None`` when the caller runs outside a reuse scope
+    reuse: dict[bytes, Any] | None = None
 
 
 @dataclass
@@ -79,6 +82,9 @@ class WorkerReply:
     jobs_done: int = 0
     pid: int = 0
     extra: dict[str, Any] = field(default_factory=dict)
+    #: what the job's fits added to its seeded scope
+    #: (``repro.ml.reuse.ScopeDelta``); ``None`` for a job without one
+    reuse: Any = None
 
 
 def write_frame(stream: BinaryIO, payload: Any) -> None:

@@ -18,7 +18,9 @@ sequence:
    wall budget — this is a fresh main thread, so SIGALRM works), restore
    the rlimits, and reply with the pickled
    :class:`~repro.generation.executor.ExecutionResult` plus the worker's
-   peak RSS.
+   peak RSS.  A job that carries its caller's fit reuse entries runs
+   inside a scope seeded with them, and the reply carries what the
+   job's fits added; the worker keeps nothing between jobs.
 
 The in-worker wall budget (SIGALRM) kills pure-Python loops and sleeps
 cleanly, preserving the in-process timeout classification; anything it
@@ -35,6 +37,7 @@ inside the pipeline, which the shared impl classifies as
 
 from __future__ import annotations
 
+import contextlib
 import os
 import resource
 import signal
@@ -125,6 +128,7 @@ def serve(job_stream: Any, reply_stream: Any) -> None:
         write_frame,
     )
     from repro.generation.executor import _execute_pipeline_code_impl
+    from repro.ml.reuse import fit_reuse_scope
 
     _install_sigxcpu()
     jobs_done = 0
@@ -140,15 +144,20 @@ def serve(job_stream: Any, reply_stream: Any) -> None:
             # wall budget implies a CPU ceiling too (headroom for BLAS
             # threads); kills tight C loops even if SIGALRM cannot
             cpu_seconds = 4.0 * job.timeout_seconds + 5.0
+        scope = (
+            contextlib.nullcontext() if job.reuse is None
+            else fit_reuse_scope(job.reuse)
+        )
         limits = _JobLimits(job.memory_mb, cpu_seconds)
         try:
-            result = _execute_pipeline_code_impl(
-                job.code,
-                job.train,
-                job.test,
-                job.filename,
-                timeout_seconds=job.timeout_seconds,
-            )
+            with scope as reuse:
+                result = _execute_pipeline_code_impl(
+                    job.code,
+                    job.train,
+                    job.test,
+                    job.filename,
+                    timeout_seconds=job.timeout_seconds,
+                )
         finally:
             limits.restore()
         jobs_done += 1
@@ -160,6 +169,7 @@ def serve(job_stream: Any, reply_stream: Any) -> None:
                 peak_rss_bytes=peak_rss,
                 jobs_done=jobs_done,
                 pid=os.getpid(),
+                reuse=None if reuse is None else reuse.delta(),
             ))
         except BrokenPipeError:
             return  # parent went away mid-reply

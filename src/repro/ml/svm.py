@@ -13,6 +13,7 @@ from typing import Any
 import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, check_X, check_X_y
+from repro.ml.reuse import reusable_fit
 
 __all__ = ["LinearSVC"]
 
@@ -34,6 +35,7 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
         self.learning_rate = learning_rate
         self.random_state = random_state
 
+    @reusable_fit
     def fit(self, X: Any, y: Any) -> "LinearSVC":
         X, y = check_X_y(X, y)
         self.classes_ = sorted(set(y.tolist()), key=str)

@@ -1,11 +1,13 @@
-"""Run-scoped forest fit reuse (``repro.ml.reuse``).
+"""Run-scoped fit reuse (``repro.ml.reuse``).
 
-Inside a scope, a forest fit whose class, parameters and validated inputs
-repeat an earlier fit restores a copy of that fit's state.  These tests
-pin the contract: a reused fit equals a fresh one attribute for attribute,
-any change to the key is a miss, a mutated model cannot leak into a later
-hit, a failed fit stores nothing, scopes never share entries, and the
-byte budget holds.
+Inside a scope, a forest or linear SVM fit whose class, parameters and
+validated inputs repeat an earlier fit restores a copy of that fit's
+state.  These tests pin the contract: a reused fit equals a fresh one
+attribute for attribute, any change to the key is a miss, a mutated model
+cannot leak into a later hit, a failed fit stores nothing, scopes never
+share entries, and the byte budget holds.  The same holds when the fits
+run in pool workers: a job carries its caller's entries, and what it
+adds comes back into the caller's scope.
 """
 
 from __future__ import annotations
@@ -17,12 +19,18 @@ import time
 import numpy as np
 import pytest
 
+import repro.execpool.pool as pool_module
 import repro.ml.reuse as reuse
+from repro.execpool import PoolConfig
+from repro.execpool.adversarial import adversarial_tables
+from repro.execpool.pool import ExecPool
 from repro.experiments.common import prepare_dataset, run_catdb
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
-from repro.ml.reuse import fit_reuse_scope
+from repro.ml.reuse import ScopeDelta, fit_reuse_scope, merge_delta
+from repro.ml.svm import LinearSVC
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.trace import Tracer, set_tracer
 from repro.resilience.deadline import ExecutionTimeout, run_with_timeout
 
 TREE_ARRAYS = ("feature_", "threshold_", "gain_", "left_", "right_", "n_samples_", "value_")
@@ -105,6 +113,24 @@ def test_scoped_fit_equals_unscoped_fit(forest, task, max_features, bootstrap, s
     for model in (first, hit):
         assert _state(model) == _state(fresh)
         assert _outputs(model, X) == _outputs(fresh, X)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scoped_linear_svc_fit_equals_unscoped_fit(seed, metrics):
+    X, y = _inputs(seed, "classification")
+    params = {"max_iter": 3, "random_state": seed}
+    fresh = LinearSVC(**params).fit(X, y)
+    with fit_reuse_scope():
+        LinearSVC(**params).fit(X, y)
+        hit = LinearSVC(**params).fit(X.tolist(), y)
+        hit.coef_[:] = 0.0
+        again = LinearSVC(**params).fit(X, y)
+    assert _outcomes(metrics) == {"hit": 2, "miss": 1}
+    assert sorted(vars(again)) == sorted(vars(fresh))
+    for name in ("coef_", "intercept_", "_mu", "_sigma"):
+        assert getattr(again, name).tobytes() == getattr(fresh, name).tobytes()
+    assert again.classes_ == fresh.classes_
+    assert again.predict_proba(X).tobytes() == fresh.predict_proba(X).tobytes()
 
 
 def test_hit_shares_no_arrays_with_the_stored_fit():
@@ -269,11 +295,11 @@ def prepared():
     return prepare_dataset("eu_it", seed=0, n=120)
 
 
-def _generate_counters(prepared) -> dict[str, float]:
+def _generate_counters(prepared, exec_mode: str = "inproc") -> dict[str, float]:
     registry = MetricsRegistry()
     previous = set_metrics(registry)
     try:
-        report = run_catdb(prepared, llm_name="gpt-4o", seed=0, exec_mode="inproc")
+        report = run_catdb(prepared, llm_name="gpt-4o", seed=0, exec_mode=exec_mode)
     finally:
         set_metrics(previous)
     assert report.success
@@ -328,3 +354,161 @@ def test_snapshot_over_the_budget_is_not_stored(monkeypatch, metrics):
         RandomForestRegressor(n_estimators=2).fit(Xa, ya)
     # only the Xa snapshot fit, and only it hit
     assert _outcomes(metrics) == {"hit": 1, "miss": 3}
+
+
+def test_merge_respects_the_budget_and_never_overwrites(monkeypatch, metrics):
+    monkeypatch.setattr(reuse, "_BUDGET_BYTES", 100)
+    held = ({"coef_": np.zeros(1)}, 8)
+    with fit_reuse_scope({b"held": held}) as scope:
+        merge_delta(ScopeDelta(
+            entries={
+                b"held": ({"coef_": np.ones(1)}, 8),  # taken: first writer wins
+                b"small": ({"coef_": np.ones(10)}, 80),  # 8 + 80 fits
+                b"large": ({"coef_": np.ones(2)}, 16),  # 88 + 16 does not
+            },
+            outcomes={("LinearSVC", "miss"): 3, ("LinearSVC", "hit"): 1},
+        ))
+        assert scope.entries[b"held"] is held
+        assert sorted(scope.entries) == [b"held", b"small"]
+        assert scope.nbytes == 88
+    assert _outcomes(metrics) == {"hit": 1, "miss": 3}
+
+
+# -- pool mode ------------------------------------------------------------------
+
+FOREST_PIPELINE = """
+import numpy as np
+from repro.ml.forest import RandomForestClassifier
+
+
+def run_pipeline(train, test):
+    X = np.asarray([[float(v)] for v in train["x"]])
+    y = np.asarray([str(v) for v in train["y"]], dtype=object)
+    model = RandomForestClassifier(n_estimators=N_TREES, random_state=0).fit(X, y)
+    checksum = float(sum(tree.threshold_.sum() for tree in model.estimators_))
+    AFTER_FIT
+    return {"test_accuracy": float(np.mean(model.predict(X) == y)), "checksum": checksum}
+"""
+
+
+def _forest_code(n_trees: int = 3, after_fit: str = "pass") -> str:
+    return FOREST_PIPELINE.replace("N_TREES", str(n_trees)).replace("AFTER_FIT", after_fit)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    p = ExecPool(PoolConfig(size=2, kill_grace_seconds=0.3))
+    yield p
+    p.shutdown()
+
+
+@pytest.fixture
+def alternating(pool):
+    """Both workers warm and queued, so consecutive jobs alternate."""
+    first, second = pool._acquire(), pool._acquire()
+    pool._release(first)
+    pool._release(second)
+    return pool
+
+
+@pytest.fixture
+def tracer():
+    tracer = Tracer()
+    previous = set_tracer(tracer)
+    yield tracer
+    set_tracer(previous)
+
+
+def _worker_pids(tracer: Tracer) -> list[int]:
+    return [s.attributes["worker_pid"] for s in tracer.spans if s.name == "execpool.execute"]
+
+
+def test_pooled_jobs_on_different_workers_hit(alternating, tracer, metrics):
+    train, test = adversarial_tables(seed=0)
+    with fit_reuse_scope() as scope:
+        results = [alternating.execute(_forest_code(), train, test) for _ in range(3)]
+        assert len(scope.entries) == 1
+    pids = _worker_pids(tracer)
+    assert pids[0] != pids[1] and pids[1] != pids[2]
+    assert all(result.success for result in results)
+    assert results[0].metrics == results[1].metrics == results[2].metrics
+    assert _outcomes(metrics) == {"hit": 2, "miss": 1}
+
+
+def test_pooled_generate_reports_its_reuse_like_inproc(prepared, alternating, monkeypatch, tracer):
+    inproc = _generate_counters(prepared)
+    monkeypatch.setattr(pool_module, "get_pool", lambda: alternating)
+    pooled = _generate_counters(prepared, exec_mode="pool")
+    assert pooled == inproc
+    assert any("outcome=hit" in key for key in pooled)
+    assert len(set(_worker_pids(tracer))) == 2
+
+
+def test_mutation_inside_the_worker_cannot_change_a_later_run(alternating, metrics):
+    train, test = adversarial_tables(seed=1)
+    mutate = "model.estimators_[0].threshold_[:] = 99.0; model.estimators_.pop()"
+    fresh = alternating.execute(_forest_code(after_fit=mutate), train, test)
+    with fit_reuse_scope():
+        runs = [alternating.execute(_forest_code(after_fit=mutate), train, test)
+                for _ in range(4)]
+    assert [run.metrics for run in runs] == [fresh.metrics] * 4
+    assert _outcomes(metrics) == {"hit": 3, "miss": 1}
+
+
+@pytest.mark.parametrize("death", [
+    "import time\n    while True:\n        try:\n            time.sleep(60)\n"
+    "        except BaseException:\n            pass",
+    "import os; os._exit(7)",
+])
+def test_killed_or_crashed_job_leaves_the_scope_unchanged(pool, death, metrics):
+    train, test = adversarial_tables(seed=2)
+    with fit_reuse_scope() as scope:
+        assert pool.execute(_forest_code(), train, test).success
+        before = dict(scope.entries)
+        # the dying job fits a new forest first; what it stored dies with it
+        result = pool.execute(_forest_code(n_trees=2, after_fit=death), train, test,
+                              timeout_seconds=0.5)
+        assert not result.success
+        assert scope.entries == before and scope.nbytes == sum(s for _, s in before.values())
+        assert all(scope.entries[key] is before[key] for key in before)
+    assert _outcomes(metrics) == {"hit": 0, "miss": 1}
+
+
+def test_concurrent_pooled_generate_runs_share_nothing(prepared, pool, monkeypatch):
+    monkeypatch.setattr(pool_module, "get_pool", lambda: pool)
+    alone = _generate_counters(prepared, exec_mode="pool")
+    assert any("outcome=hit" in key for key in alone)
+    workers = 3  # more threads than pool workers
+    barrier = threading.Barrier(workers)
+    results: list[dict] = [{} for _ in range(workers)]
+
+    def run(slot: int) -> None:
+        barrier.wait(timeout=30)
+        results[slot] = _generate_counters(prepared, exec_mode="pool")
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [alone] * workers
+
+
+def test_execute_outside_a_scope_sends_none(pool, monkeypatch):
+    sent = []
+    real_submit = pool_module.PoolWorker.submit
+
+    def spy(self, job):
+        sent.append(job.reuse)
+        return real_submit(self, job)
+
+    monkeypatch.setattr(pool_module.PoolWorker, "submit", spy)
+    train, test = adversarial_tables(seed=3)
+    pool.execute(_forest_code(), train, test)
+    with fit_reuse_scope():
+        pool.execute(_forest_code(), train, test)
+        pool.execute(_forest_code(), train, test)
+    assert sent[0] is None
+    assert sent[1] == {}
+    assert len(sent[2]) == 1
